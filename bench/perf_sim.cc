@@ -14,7 +14,8 @@
 // the first repetition of a (profile, seed) records its replay tape, later
 // repetitions and cells replay it, so best-of measures the tape-warm rate.
 // --no-tape measures the live-RNG generator instead. A TAPES row in the
-// table reports the registry traffic alongside the timing rows.
+// table reports the registry traffic and the tape bytes held alongside the
+// timing rows.
 //
 // Flags:
 //   --cycles N   measured cycles per cell            [default 100000]
@@ -297,7 +298,9 @@ int main(int argc, char** argv) {
                                       " recorded=" +
                                       std::to_string(tapes.recordings()) +
                                       " live=" +
-                                      std::to_string(tapes.live_sources())
+                                      std::to_string(tapes.live_sources()) +
+                                      " held_bytes=" +
+                                      std::to_string(tapes.bytes_in_use())
                                 : std::string("(--no-tape)")),
                "-", "-", "-", "-", "-"});
 

@@ -211,7 +211,7 @@ class FetchEngine {
  private:
   /// Correct-path µops prefetched per TraceSource::fill call: one virtual
   /// dispatch per buffer refill instead of one per µop. Sized at several
-  /// fetch groups so tape replay amortises to chunk-copy rate.
+  /// fetch groups so tape replay amortises to chunk-decode rate.
   static constexpr int kPrefetch = 32;
 
   struct ThreadState {

@@ -219,7 +219,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
         stderr,
         "[sweep] %zu points x %zu workloads: %llu simulated, %llu cached, "
         "%llu loaded from disk; tapes: %llu replayed, %llu recorded, "
-        "%llu live; skipped %llu cycles in %llu jumps",
+        "%llu live, %.1f MiB held; skipped %llu cycles in %llu jumps",
         num_points, num_workloads,
         static_cast<unsigned long long>(out.cache_misses),
         static_cast<unsigned long long>(out.cache_hits),
@@ -227,6 +227,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
         static_cast<unsigned long long>(out.tape_hits),
         static_cast<unsigned long long>(out.tape_recordings),
         static_cast<unsigned long long>(out.tape_live),
+        static_cast<double>(tapes.bytes_in_use()) / (1024.0 * 1024.0),
         static_cast<unsigned long long>(out.cycles_skipped),
         static_cast<unsigned long long>(out.skip_episodes));
     if (out.corrupt_records > 0) {

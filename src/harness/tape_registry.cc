@@ -73,6 +73,11 @@ std::size_t TapeRegistry::size() const {
   return tapes_.size();
 }
 
+std::uint64_t TapeRegistry::bytes_in_use() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return budget_bytes_ - budget_->remaining();
+}
+
 void TapeRegistry::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   tapes_.clear();

@@ -64,6 +64,9 @@ class TapeRegistry {
     return live_sources_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t size() const;
+  /// Chunk bytes held by registered tapes (budget drawn, 16 B per µop).
+  /// Diagnostics only: never part of SimStats or a run key.
+  [[nodiscard]] std::uint64_t bytes_in_use() const;
 
   /// Drops every tape and zeroes the counters, restoring the full chunk
   /// budget (intended for tests; must not race with live readers).

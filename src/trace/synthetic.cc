@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace clusmt::trace {
 
@@ -121,6 +122,12 @@ SyntheticProgram::SyntheticProgram(const TraceProfile& profile,
 void SyntheticProgram::flatten() {
   std::size_t total = 0;
   for (const BasicBlock& block : blocks_) total += block.body.size() + 1;
+  if (total > kMaxFlatUops) {
+    throw std::invalid_argument(
+        "SyntheticProgram: " + std::to_string(total) +
+        " flat µops exceed the packed replay record's 31-bit index (max " +
+        std::to_string(kMaxFlatUops) + ")");
+  }
   flat_.reserve(total);
   info_.resize(blocks_.size());
 
@@ -404,6 +411,13 @@ MicroOp SyntheticTrace::next() { return next_impl(); }
 
 void SyntheticTrace::fill(MicroOp* out, int count) {
   for (int i = 0; i < count; ++i) out[i] = next_impl();
+}
+
+void SyntheticTrace::fill_packed(PackedUop* out, int count) {
+  for (int i = 0; i < count; ++i) {
+    const auto index = static_cast<std::uint32_t>(cursor_);
+    out[i] = PackedUop::pack(index, next_impl());
+  }
 }
 
 // --------------------------------------------------------------------------

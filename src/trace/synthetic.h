@@ -19,6 +19,7 @@
 // tests/trace_flat_test.cc, analogous to the issue stage's kScanReference).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -100,6 +101,32 @@ struct BlockInfo {
   std::uint32_t indirect_count = 0;
 };
 
+/// One generated µop reduced to what the generator samples: the flat index
+/// it was emitted from (static pc/cls/dst/indirect/fallthrough live in the
+/// program's flat_uops()/block_info()) plus its dynamic fields. Replay tapes
+/// store these instead of full MicroOps; SyntheticProgram::unpack restores
+/// the MicroOp. `taken` is stored, never inferred from `payload`: a
+/// non-indirect branch may have coinciding taken/fallthrough successors.
+struct PackedUop {
+  static constexpr std::uint32_t kTakenBit = 1u << 31;
+  static constexpr std::uint32_t kIndexMask = kTakenBit - 1;
+
+  std::uint32_t index_taken = 0;  // flat index | kTakenBit when taken
+  std::int16_t src0 = -1;
+  std::int16_t src1 = -1;
+  std::uint64_t payload = 0;      // mem_addr (body µop) / target (branch)
+
+  [[nodiscard]] static PackedUop pack(std::uint32_t index,
+                                      const MicroOp& op) noexcept {
+    return PackedUop{
+        .index_taken = index | (op.taken ? kTakenBit : 0u),
+        .src0 = op.src0,
+        .src1 = op.src1,
+        .payload = op.is_branch() ? op.target : op.mem_addr};
+  }
+};
+static_assert(sizeof(PackedUop) == 16, "replay tapes budget 16 B per µop");
+
 /// The static side of a synthetic program, built deterministically from a
 /// profile + seed. Immutable after construction and shareable between
 /// multiple trace cursors (e.g. the SMT run and its single-thread baseline).
@@ -125,6 +152,31 @@ class SyntheticProgram {
   [[nodiscard]] const std::vector<IndirectTarget>& indirect_targets()
       const noexcept {
     return indirect_pool_;
+  }
+
+  /// Largest flat array a program may have: PackedUop's 31-bit index.
+  static constexpr std::size_t kMaxFlatUops =
+      std::size_t{PackedUop::kIndexMask} + 1;
+
+  /// Restores the MicroOp a SyntheticTrace emitted as `p`.
+  [[nodiscard]] MicroOp unpack(const PackedUop& p) const noexcept {
+    const FlatUop& f = flat_[p.index_taken & PackedUop::kIndexMask];
+    MicroOp op;
+    op.pc = f.pc;
+    op.cls = f.cls;
+    op.src0 = p.src0;
+    op.src1 = p.src1;
+    if (!f.is_branch) {
+      op.dst = f.dst;
+      op.mem_addr = p.payload;
+      return op;
+    }
+    const BlockInfo& bi = info_[f.block];
+    op.taken = (p.index_taken & PackedUop::kTakenBit) != 0;
+    op.indirect = bi.indirect;
+    op.target = p.payload;
+    op.fallthrough = bi.fallthrough_start_pc;
+    return op;
   }
 
  private:
@@ -235,6 +287,9 @@ class SyntheticTrace final : public TraceSource, private SyntheticCursor {
 
   MicroOp next() override;
   void fill(MicroOp* out, int count) override;
+  /// fill() in packed form: the same next `count` µops, each recorded as
+  /// its flat index plus sampled fields (the replay tape's recorder).
+  void fill_packed(PackedUop* out, int count);
   [[nodiscard]] const std::string& name() const override;
 
   [[nodiscard]] const SyntheticProgram& program() const noexcept {

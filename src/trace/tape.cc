@@ -2,9 +2,25 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
+#include <limits>
 
 namespace clusmt::trace {
+
+namespace {
+
+/// Chunk-table size: max_uops in chunks, capped by the chunks the budget
+/// could fund if this tape held all of it.
+std::uint64_t max_chunks_for(std::uint64_t max_uops, const TapeBudget* budget) {
+  const std::uint64_t by_uops =
+      (std::max(max_uops, TraceTape::kChunkUops) + TraceTape::kChunkUops - 1) /
+      TraceTape::kChunkUops;
+  const std::uint64_t by_budget =
+      budget == nullptr ? std::numeric_limits<std::uint64_t>::max()
+                        : budget->capacity() / TraceTape::kChunkBytes;
+  return std::min(by_uops, by_budget);
+}
+
+}  // namespace
 
 TraceTape::TraceTape(std::shared_ptr<const SyntheticProgram> program,
                      std::uint64_t seed, TapeBudget* budget,
@@ -13,10 +29,8 @@ TraceTape::TraceTape(std::shared_ptr<const SyntheticProgram> program,
       seed_(seed),
       budget_(budget),
       recorder_(std::move(program), seed),
-      max_chunks_((std::max<std::uint64_t>(max_uops, kChunkUops) +
-                   kChunkUops - 1) /
-                  kChunkUops),
-      chunks_(new std::atomic<MicroOp*>[max_chunks_]) {
+      max_chunks_(max_chunks_for(max_uops, budget)),
+      chunks_(new std::atomic<PackedUop*>[max_chunks_]) {
   for (std::uint64_t i = 0; i < max_chunks_; ++i) {
     chunks_[i].store(nullptr, std::memory_order_relaxed);
   }
@@ -25,7 +39,7 @@ TraceTape::TraceTape(std::shared_ptr<const SyntheticProgram> program,
 
 TraceTape::~TraceTape() {
   if (budget_ != nullptr) {
-    budget_->give_back(chunk_storage_.size() * kChunkUops * sizeof(MicroOp));
+    budget_->give_back(chunk_storage_.size() * kChunkBytes);
   }
 }
 
@@ -36,9 +50,9 @@ void TraceTape::copy(std::uint64_t pos, MicroOp* out, int count) const {
     const std::uint64_t offset = pos % kChunkUops;
     const int n = static_cast<int>(
         std::min<std::uint64_t>(count, kChunkUops - offset));
-    const MicroOp* src = chunks_[chunk].load(std::memory_order_relaxed);
-    std::memcpy(out, src + offset, static_cast<std::size_t>(n) *
-                                       sizeof(MicroOp));
+    const PackedUop* src =
+        chunks_[chunk].load(std::memory_order_relaxed) + offset;
+    for (int i = 0; i < n; ++i) out[i] = program_->unpack(src[i]);
     out += n;
     pos += n;
     count -= n;
@@ -50,16 +64,16 @@ std::uint64_t TraceTape::extend_to(std::uint64_t target) {
   std::uint64_t size = recorded_.load(std::memory_order_relaxed);
   while (size < target && !frozen_.load(std::memory_order_relaxed)) {
     const std::uint64_t chunk = size / kChunkUops;
-    constexpr std::uint64_t chunk_bytes = kChunkUops * sizeof(MicroOp);
     if (chunk >= max_chunks_ ||
-        (budget_ != nullptr && !budget_->take(chunk_bytes))) {
+        (budget_ != nullptr && !budget_->take(kChunkBytes))) {
       // Out of storage: freeze. recorder_ stays parked at `size`, ready to
       // be cloned by readers that need more.
       frozen_.store(true, std::memory_order_release);
       break;
     }
-    auto storage = std::make_unique<MicroOp[]>(kChunkUops);
-    recorder_.fill(storage.get(), static_cast<int>(kChunkUops));
+    // The recorder writes every record, so skip the value-initialisation.
+    auto storage = std::make_unique_for_overwrite<PackedUop[]>(kChunkUops);
+    recorder_.fill_packed(storage.get(), static_cast<int>(kChunkUops));
     chunks_[chunk].store(storage.get(), std::memory_order_relaxed);
     chunk_storage_.push_back(std::move(storage));
     size += kChunkUops;

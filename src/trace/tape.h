@@ -4,13 +4,20 @@
 // (profile, seed) stream is regenerated many times per process — every
 // repeat of a perf-bench cell, every sweep cell sharing a trace, every
 // fairness baseline. A TraceTape records one warm walk of the generator
-// into chunked contiguous MicroOp storage; TapeTrace cursors then replay
-// the stream at memcpy rate. The recording is demand-driven (a reader that
+// into chunked contiguous storage; TapeTrace cursors then replay the stream
+// without touching the RNG. The recording is demand-driven (a reader that
 // needs µop N extends the tape to N in chunk-sized steps), so a tape is
 // exactly as long as its longest reader needs.
 //
+// Record format: 16 bytes per µop (PackedUop) — the flat index the
+// generator emitted from plus the sampled sources, address/target and
+// branch outcome. Static fields are restored on replay from the program's
+// immutable flat_uops()/block_info(), so a tape holds a third of the bytes
+// a MicroOp copy would.
+//
 // Concurrency: many readers, one recorder. Chunk pointers live in a
-// fixed-size array written under the tape mutex and published through the
+// fixed-size array (sized to what the budget could ever fund, not to
+// max_uops) written under the tape mutex and published through the
 // atomic recorded-count (release/acquire), so replaying an already-recorded
 // range never takes a lock.
 //
@@ -42,7 +49,8 @@ namespace clusmt::trace {
 /// chunk, so a pool never strands a partial chunk.
 class TapeBudget {
  public:
-  explicit TapeBudget(std::uint64_t bytes) : remaining_(bytes) {}
+  explicit TapeBudget(std::uint64_t bytes)
+      : capacity_(bytes), remaining_(bytes) {}
 
   /// Reserves `bytes`; false when the pool cannot cover them.
   bool take(std::uint64_t bytes) noexcept {
@@ -61,8 +69,11 @@ class TapeBudget {
   [[nodiscard]] std::uint64_t remaining() const noexcept {
     return remaining_.load(std::memory_order_relaxed);
   }
+  /// Pool size at construction: the most any one tape can ever hold.
+  [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
 
  private:
+  const std::uint64_t capacity_;
   std::atomic<std::uint64_t> remaining_;
 };
 
@@ -72,6 +83,8 @@ class TraceTape {
  public:
   /// µops per storage chunk (also the recording step).
   static constexpr std::uint64_t kChunkUops = 1u << 14;
+  /// Budget charged per chunk.
+  static constexpr std::uint64_t kChunkBytes = kChunkUops * sizeof(PackedUop);
 
   /// `budget` may be nullptr (unbudgeted, for tests); it must outlive the
   /// tape. `max_uops` bounds this tape regardless of the budget.
@@ -97,8 +110,13 @@ class TraceTape {
   [[nodiscard]] bool frozen() const noexcept {
     return frozen_.load(std::memory_order_acquire);
   }
+  /// Entries of the chunk-pointer table: the most chunks this tape can
+  /// hold, bounded by max_uops and by the budget's capacity.
+  [[nodiscard]] std::uint64_t chunk_capacity() const noexcept {
+    return max_chunks_;
+  }
 
-  /// Copies tape µops [pos, pos + count) into `out`. Requires
+  /// Decodes tape µops [pos, pos + count) into `out`. Requires
   /// pos + count <= recorded(). Lock-free.
   void copy(std::uint64_t pos, MicroOp* out, int count) const;
 
@@ -119,15 +137,15 @@ class TraceTape {
   mutable std::mutex mutex_;        // recorder + chunk-table writes
   SyntheticTrace recorder_;         // always positioned at recorded_
   std::uint64_t max_chunks_;
-  std::unique_ptr<std::atomic<MicroOp*>[]> chunks_;  // fixed table
-  std::vector<std::unique_ptr<MicroOp[]>> chunk_storage_;
+  std::unique_ptr<std::atomic<PackedUop*>[]> chunks_;  // fixed table
+  std::vector<std::unique_ptr<PackedUop[]>> chunk_storage_;
   std::atomic<std::uint64_t> recorded_{0};
   std::atomic<bool> frozen_{false};
 };
 
 /// TraceSource replaying a shared TraceTape. Each simulated thread gets its
-/// own cursor; `fill` is a chunk-wise memcpy until the reader outruns a
-/// frozen tape, after which it generates live from the freeze-point clone.
+/// own cursor; `fill` decodes chunk-wise until the reader outruns a frozen
+/// tape, after which it generates live from the freeze-point clone.
 class TapeTrace final : public TraceSource {
  public:
   explicit TapeTrace(std::shared_ptr<TraceTape> tape)

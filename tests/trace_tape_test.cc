@@ -9,6 +9,7 @@
 // bug (chunk indexing, freeze seam, registry keying), never an RNG one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,9 +92,7 @@ TEST(TraceTapeDifferential, FrozenTapeContinuesLiveBitIdentically) {
       make_profile(Category::kServer, TraceKind::kMem, 1);
   constexpr std::uint64_t kSeed = 11;
   auto program = std::make_shared<const SyntheticProgram>(profile, kSeed);
-  constexpr std::uint64_t kChunkBytes =
-      TraceTape::kChunkUops * sizeof(MicroOp);
-  TapeBudget budget(kChunkBytes);
+  TapeBudget budget(TraceTape::kChunkBytes);
   const int uops = static_cast<int>(3 * TraceTape::kChunkUops);
   {
     TraceTape tape(program, kSeed, &budget);
@@ -121,7 +120,76 @@ TEST(TraceTapeDifferential, FrozenTapeContinuesLiveBitIdentically) {
     }
   }
   // The destroyed tape returns its chunk storage to the budget.
-  EXPECT_EQ(budget.remaining(), kChunkBytes);
+  EXPECT_EQ(budget.remaining(), TraceTape::kChunkBytes);
+}
+
+static_assert(sizeof(PackedUop) == 16, "tape records are 16 bytes per µop");
+static_assert(TraceTape::kChunkBytes ==
+              TraceTape::kChunkUops * sizeof(PackedUop));
+
+TEST(TraceTapeDifferential, PackedRecordKeepsTakenWhenTargetsCoincide) {
+  // Two-block programs whose non-indirect branches are all data-dependent:
+  // some branch's taken and fallthrough successors coincide, so its target
+  // is the same either way and the replayed `taken` must come from the
+  // record, not from comparing target and fallthrough.
+  TraceProfile profile = make_profile(Category::kISpec00, TraceKind::kIlp, 0);
+  profile.num_blocks = 2;
+  profile.indirect_fraction = 0.0;
+  profile.hard_branch_fraction = 1.0;
+  profile.name += "+coinciding";
+  for (std::uint64_t seed = 1;; ++seed) {
+    ASSERT_LT(seed, 64u) << "no program with a coinciding branch";
+    auto program = std::make_shared<const SyntheticProgram>(profile, seed);
+    const std::vector<BlockInfo>& info = program->block_info();
+    const auto coinciding =
+        std::find_if(info.begin(), info.end(), [](const BlockInfo& bi) {
+          return !bi.indirect && bi.taken_next == bi.fallthrough_next;
+        });
+    if (coinciding == info.end()) continue;
+
+    TraceTape tape(program, seed, /*budget=*/nullptr);
+    TapeTrace replay(std::shared_ptr<TraceTape>(&tape, [](TraceTape*) {}));
+    SyntheticTrace live(program, seed);
+    int outcomes[2] = {0, 0};
+    for (int i = 0; i < 4000; ++i) {
+      const MicroOp want = live.next();
+      const MicroOp got = replay.next();
+      expect_same_uop(got, want, "uop #" + std::to_string(i));
+      if (want.is_branch() && want.pc == coinciding->branch_pc) {
+        ++outcomes[want.taken ? 1 : 0];
+      }
+    }
+    EXPECT_GT(outcomes[0], 0) << "coinciding branch never fell through";
+    EXPECT_GT(outcomes[1], 0) << "coinciding branch never taken";
+    return;
+  }
+}
+
+TEST(TraceTapeDifferential, ChunkTableSizedToBudget) {
+  const TraceProfile profile =
+      make_profile(Category::kISpec00, TraceKind::kIlp, 1);
+  auto program = std::make_shared<const SyntheticProgram>(profile, 9);
+  for (std::uint64_t bytes :
+       {std::uint64_t{0}, TraceTape::kChunkBytes - 1,
+        3 * TraceTape::kChunkBytes, std::uint64_t{1} << 30}) {
+    TapeBudget budget(bytes);
+    TraceTape tape(program, 9, &budget);
+    EXPECT_LE(tape.chunk_capacity(), bytes / TraceTape::kChunkBytes + 1)
+        << "budget " << bytes;
+  }
+  // A zero budget records nothing: the first demand freezes the tape, and
+  // a reader goes live from the start with the same stream.
+  TapeBudget empty(0);
+  TraceTape tape(program, 9, &empty);
+  TapeTrace reader(std::shared_ptr<TraceTape>(&tape, [](TraceTape*) {}));
+  SyntheticTrace live(program, 9);
+  MicroOp buf[32];
+  reader.fill(buf, 32);
+  EXPECT_TRUE(tape.frozen());
+  EXPECT_TRUE(reader.went_live());
+  for (int i = 0; i < 32; ++i) {
+    expect_same_uop(buf[i], live.next(), "uop #" + std::to_string(i));
+  }
 }
 
 TEST(TraceTapeDifferential, MaxUopsCapFreezesUnbudgetedTape) {

@@ -1,6 +1,6 @@
 #include "backend/issue_queue.h"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -8,292 +8,261 @@ namespace clusmt::backend {
 
 namespace {
 
-[[nodiscard]] constexpr std::int32_t cons_ref(int slot, int i) noexcept {
-  return static_cast<std::int32_t>(slot << 1) | i;
+static_assert(kMaxThreads <= 4, "age key packs the thread id in 2 bits");
+static_assert(trace::kNumPortClasses <= 4,
+              "age key packs the port class in 2 bits");
+
+[[nodiscard]] constexpr std::uint64_t bit_of(int slot) noexcept {
+  return std::uint64_t{1} << (slot & 63);
 }
-[[nodiscard]] constexpr int cons_slot(std::int32_t ref) noexcept {
-  return static_cast<int>(ref >> 1);
-}
-[[nodiscard]] constexpr int cons_src(std::int32_t ref) noexcept {
-  return static_cast<int>(ref & 1);
+
+[[nodiscard]] constexpr std::size_t word_of(int slot) noexcept {
+  return static_cast<std::size_t>(slot >> 6);
 }
 
 }  // namespace
 
-IssueQueue::OrderedIter::OrderedIter(const IssueQueue& iq, const int* heads,
-                                     bool ready_links)
-    : iq_(&iq), ready_links_(ready_links) {
-  for (int t = 0; t < kMaxThreads; ++t) cursor_[t] = heads[t];
-}
-
-int IssueQueue::OrderedIter::next() {
-  // Global age order is (seq, tid); each per-thread list is seq-sorted, so
-  // the oldest remaining entry is the minimum-seq head (ties resolved by
-  // the ascending thread order of the scan itself).
-  int best_t = -1;
-  std::uint64_t best_seq = 0;
-  for (int t = 0; t < kMaxThreads; ++t) {
-    const int slot = cursor_[t];
-    if (slot == -1) continue;
-    const std::uint64_t seq = iq_->slots_[slot].entry.seq;
-    if (best_t < 0 || seq < best_seq) {
-      best_t = t;
-      best_seq = seq;
-    }
-  }
-  if (best_t < 0) return -1;
-  const int slot = cursor_[best_t];
-  const auto& s = iq_->slots_[slot];
-  cursor_[best_t] = ready_links_ ? s.ready_next : s.age_next;
-  return slot;
-}
-
-IssueQueue::IssueQueue(int capacity) : capacity_(capacity) {
+IssueQueue::IssueQueue(int capacity)
+    : capacity_(capacity), words_((capacity + 63) / 64) {
   if (capacity < 1) throw std::invalid_argument("IQ capacity < 1");
-  slots_.resize(static_cast<std::size_t>(capacity));
-  free_slots_.reserve(static_cast<std::size_t>(capacity));
-  for (int i = capacity - 1; i >= 0; --i) free_slots_.push_back(i);
-  for (int t = 0; t < kMaxThreads; ++t) {
-    age_head_[t] = age_tail_[t] = -1;
-    ready_head_[t] = ready_tail_[t] = -1;
-  }
+  const auto n = static_cast<std::size_t>(capacity);
+  const auto w = static_cast<std::size_t>(words_);
+  entries_.resize(n);
+  keys_.resize(n);
+  occupied_.assign(w, 0);
+  ready_.assign(w, 0);
+  pending_[0].assign(w, 0);
+  pending_[1].assign(w, 0);
 }
 
-void IssueQueue::thread_list_insert(int slot, int* head, int* tail,
-                                    int Slot::* prev_link,
-                                    int Slot::* next_link) {
-  // Entries of one thread arrive in (nearly) increasing seq, so walking
-  // back from the tail finds the position in amortised O(1).
-  const std::uint64_t seq = slots_[slot].entry.seq;
-  int after = *tail;
-  while (after != -1 && seq < slots_[after].entry.seq) {
-    after = slots_[after].*prev_link;
-  }
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  s.*prev_link = after;
-  if (after == -1) {
-    s.*next_link = *head;
-    *head = slot;
-  } else {
-    s.*next_link = slots_[after].*next_link;
-    slots_[after].*next_link = slot;
-  }
-  if (s.*next_link == -1) {
-    *tail = slot;
-  } else {
-    slots_[s.*next_link].*prev_link = slot;
-  }
+std::uint64_t IssueQueue::key_of(const IqEntry& entry) noexcept {
+  return (entry.seq << 4) | (static_cast<std::uint64_t>(entry.tid) << 2) |
+         static_cast<std::uint64_t>(trace::port_class_of(entry.cls));
 }
 
-void IssueQueue::thread_list_remove(int slot, int* head, int* tail,
-                                    int Slot::* prev_link,
-                                    int Slot::* next_link) {
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  if (s.*prev_link == -1) {
-    *head = s.*next_link;
-  } else {
-    slots_[s.*prev_link].*next_link = s.*next_link;
+std::uint64_t* IssueQueue::consumer_mask(RegClass cls, std::int16_t index,
+                                         int i) {
+  auto& masks = consumers_[static_cast<int>(cls)];
+  if (consumer_offset(index, i) >= masks.size()) {
+    masks.resize(
+        consumer_offset(index, 0) + 2 * static_cast<std::size_t>(words_), 0);
   }
-  if (s.*next_link == -1) {
-    *tail = s.*prev_link;
-  } else {
-    slots_[s.*next_link].*prev_link = s.*prev_link;
-  }
-  s.*prev_link = s.*next_link = -1;
-}
-
-void IssueQueue::ready_list_insert(int slot) {
-  const ThreadId tid = slots_[slot].entry.tid;
-  thread_list_insert(slot, &ready_head_[tid], &ready_tail_[tid],
-                     &Slot::ready_prev, &Slot::ready_next);
-  ++ready_per_thread_[tid];
-  ++ready_count_;
-}
-
-void IssueQueue::watch_source(int slot, int i, const PhysRef& ref) {
-  auto& heads = watch_heads_[static_cast<int>(ref.cls)];
-  if (static_cast<std::size_t>(ref.index) >= heads.size()) {
-    heads.resize(static_cast<std::size_t>(ref.index) + 1, -1);
-  }
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  const std::int32_t ref_id = cons_ref(slot, i);
-  const std::int32_t head = heads[static_cast<std::size_t>(ref.index)];
-  s.cons_prev[i] = -1;
-  s.cons_next[i] = head;
-  if (head != -1) slots_[cons_slot(head)].cons_prev[cons_src(head)] = ref_id;
-  heads[static_cast<std::size_t>(ref.index)] = ref_id;
-  s.watch_mask |= static_cast<std::uint8_t>(1u << i);
-  ++s.unready;
-}
-
-void IssueQueue::unwatch_source(int slot, int i) {
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  const PhysRef& ref = i == 0 ? s.entry.src0 : s.entry.src1;
-  auto& heads = watch_heads_[static_cast<int>(ref.cls)];
-  const std::int32_t prev = s.cons_prev[i];
-  const std::int32_t next = s.cons_next[i];
-  if (prev == -1) {
-    heads[static_cast<std::size_t>(ref.index)] = next;
-  } else {
-    slots_[cons_slot(prev)].cons_next[cons_src(prev)] = next;
-  }
-  if (next != -1) slots_[cons_slot(next)].cons_prev[cons_src(next)] = prev;
-  s.cons_prev[i] = s.cons_next[i] = -1;
-  s.watch_mask &= static_cast<std::uint8_t>(~(1u << i));
-  --s.unready;
+  return masks.data() + consumer_offset(index, i);
 }
 
 int IssueQueue::insert(const IqEntry& entry, bool src0_ready,
                        bool src1_ready) {
   assert(entry.tid >= 0 && entry.tid < kMaxThreads);
-  if (free_slots_.empty()) return -1;
-  const int slot = free_slots_.back();
-  free_slots_.pop_back();
-  Slot& s = slots_[static_cast<std::size_t>(slot)];
-  s.entry = entry;
-  s.in_use = true;
-  s.unready = 0;
-  s.watch_mask = 0;
+  assert(entry.seq < (std::uint64_t{1} << 60));
+  if (full()) return -1;
+  // Lowest free slot. Padding bits past capacity read as free, but a free
+  // slot below capacity exists and sorts first.
+  int slot = 0;
+  for (int w = 0; w < words_; ++w) {
+    const std::uint64_t free = ~occupied_[static_cast<std::size_t>(w)];
+    if (free != 0) {
+      slot = w * 64 + std::countr_zero(free);
+      break;
+    }
+  }
+  assert(slot < capacity_);
+  const std::size_t w = word_of(slot);
+  const std::uint64_t bit = bit_of(slot);
+  entries_[static_cast<std::size_t>(slot)] = entry;
+  keys_[static_cast<std::size_t>(slot)] = key_of(entry);
+  occupied_[w] |= bit;
   ++occupancy_;
   ++per_thread_[entry.tid];
-  thread_list_insert(slot, &age_head_[entry.tid], &age_tail_[entry.tid],
-                     &Slot::age_prev, &Slot::age_next);
-  if (entry.src0.valid() && !src0_ready) watch_source(slot, 0, entry.src0);
-  if (entry.src1.valid() && !src1_ready) watch_source(slot, 1, entry.src1);
-  if (s.unready == 0) ready_list_insert(slot);
+  const bool wait0 = entry.src0.valid() && !src0_ready;
+  const bool wait1 = entry.src1.valid() && !src1_ready;
+  if (wait0) {
+    consumer_mask(entry.src0.cls, entry.src0.index, 0)[w] |= bit;
+    pending_[0][w] |= bit;
+  }
+  if (wait1) {
+    consumer_mask(entry.src1.cls, entry.src1.index, 1)[w] |= bit;
+    pending_[1][w] |= bit;
+  }
+  if (!wait0 && !wait1) {
+    ready_[w] |= bit;
+    ++ready_count_;
+    ++ready_per_thread_[entry.tid];
+  }
   return slot;
 }
 
 void IssueQueue::remove(int slot) {
-  Slot& s = slots_.at(static_cast<std::size_t>(slot));
-  assert(s.in_use);
-  const ThreadId tid = s.entry.tid;
-  if (s.unready == 0) {
-    thread_list_remove(slot, &ready_head_[tid], &ready_tail_[tid],
-                       &Slot::ready_prev, &Slot::ready_next);
-    --ready_per_thread_[tid];
+  assert(slot >= 0 && slot < capacity_ && occupied(slot));
+  const std::size_t w = word_of(slot);
+  const std::uint64_t bit = bit_of(slot);
+  const IqEntry& entry = entries_[static_cast<std::size_t>(slot)];
+  if (ready_[w] & bit) {
+    ready_[w] &= ~bit;
     --ready_count_;
+    --ready_per_thread_[entry.tid];
   } else {
-    if (s.watch_mask & 1u) unwatch_source(slot, 0);
-    if (s.watch_mask & 2u) unwatch_source(slot, 1);
-    s.unready = 0;
+    if (pending_[0][w] & bit) {
+      consumer_mask(entry.src0.cls, entry.src0.index, 0)[w] &= ~bit;
+      pending_[0][w] &= ~bit;
+    }
+    if (pending_[1][w] & bit) {
+      consumer_mask(entry.src1.cls, entry.src1.index, 1)[w] &= ~bit;
+      pending_[1][w] &= ~bit;
+    }
   }
-  thread_list_remove(slot, &age_head_[tid], &age_tail_[tid], &Slot::age_prev,
-                     &Slot::age_next);
-  s.in_use = false;
+  occupied_[w] &= ~bit;
   --occupancy_;
-  --per_thread_[tid];
-  assert(per_thread_[tid] >= 0);
-  free_slots_.push_back(slot);
+  --per_thread_[entry.tid];
+  assert(per_thread_[entry.tid] >= 0);
 }
 
 void IssueQueue::wakeup(RegClass cls, std::int16_t index) {
-  auto& heads = watch_heads_[static_cast<int>(cls)];
-  if (static_cast<std::size_t>(index) >= heads.size()) return;
-  std::int32_t ref = heads[static_cast<std::size_t>(index)];
-  heads[static_cast<std::size_t>(index)] = -1;
-  while (ref != -1) {
-    const int slot = cons_slot(ref);
-    const int i = cons_src(ref);
-    Slot& s = slots_[static_cast<std::size_t>(slot)];
-    assert(s.in_use && (s.watch_mask & (1u << i)));
-    ref = s.cons_next[i];
-    s.cons_prev[i] = s.cons_next[i] = -1;
-    s.watch_mask &= static_cast<std::uint8_t>(~(1u << i));
-    if (--s.unready == 0) ready_list_insert(slot);
+  auto& masks = consumers_[static_cast<int>(cls)];
+  if (consumer_offset(index, 0) >= masks.size()) return;
+  // Source 0's consumers first, then source 1's: a slot watching this
+  // register on both sources becomes ready on the second pass.
+  for (int i = 0; i < 2; ++i) {
+    std::uint64_t* mask = masks.data() + consumer_offset(index, i);
+    for (std::size_t w = 0; w < static_cast<std::size_t>(words_); ++w) {
+      const std::uint64_t woken = mask[w];
+      if (woken == 0) continue;
+      mask[w] = 0;
+      pending_[i][w] &= ~woken;
+      const std::uint64_t now_ready = woken & ~pending_[1 - i][w];
+      ready_[w] |= now_ready;
+      for (std::uint64_t bits = now_ready; bits != 0; bits &= bits - 1) {
+        const std::size_t slot =
+            (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+        ++ready_count_;
+        ++ready_per_thread_[(keys_[slot] >> 2) & 3];  // the key's tid bits
+      }
+    }
   }
 }
 
 const IqEntry& IssueQueue::entry(int slot) const {
-  const Slot& s = slots_.at(static_cast<std::size_t>(slot));
-  assert(s.in_use);
-  return s.entry;
+  assert(slot >= 0 && slot < capacity_ && occupied(slot));
+  return entries_[static_cast<std::size_t>(slot)];
 }
 
 bool IssueQueue::occupied(int slot) const {
-  return slots_.at(static_cast<std::size_t>(slot)).in_use;
+  if (slot < 0 || slot >= capacity_) {
+    throw std::out_of_range("IQ slot out of range");
+  }
+  return (occupied_[word_of(slot)] & bit_of(slot)) != 0;
 }
 
 bool IssueQueue::entry_ready(int slot) const {
-  const Slot& s = slots_.at(static_cast<std::size_t>(slot));
-  assert(s.in_use);
-  return s.unready == 0;
+  assert(occupied(slot));
+  return (ready_[word_of(slot)] & bit_of(slot)) != 0;
 }
 
 bool IssueQueue::has_consumers(RegClass cls, std::int16_t index) const {
-  const auto& heads = watch_heads_[static_cast<int>(cls)];
-  return static_cast<std::size_t>(index) < heads.size() &&
-         heads[static_cast<std::size_t>(index)] != -1;
+  const auto& masks = consumers_[static_cast<int>(cls)];
+  const std::size_t base = consumer_offset(index, 0);
+  if (base >= masks.size()) return false;
+  // Both sources' masks are adjacent: 2 * words_ words.
+  for (int w = 0; w < 2 * words_; ++w) {
+    if (masks[base + static_cast<std::size_t>(w)] != 0) return true;
+  }
+  return false;
+}
+
+int IssueQueue::sorted_by_age(const std::uint64_t* mask,
+                              std::span<int> out) const noexcept {
+  assert(out.size() >= static_cast<std::size_t>(capacity_));
+  // Insertion sort by key: the masks the issue stage sorts hold a few
+  // slots per cycle.
+  int n = 0;
+  for (int w = 0; w < words_; ++w) {
+    for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      const int slot = w * 64 + std::countr_zero(bits);
+      const std::uint64_t key = keys_[static_cast<std::size_t>(slot)];
+      int j = n++;
+      for (; j > 0 && keys_[static_cast<std::size_t>(
+                          out[static_cast<std::size_t>(j - 1)])] > key;
+           --j) {
+        out[static_cast<std::size_t>(j)] = out[static_cast<std::size_t>(j - 1)];
+      }
+      out[static_cast<std::size_t>(j)] = slot;
+    }
+  }
+  return n;
+}
+
+std::vector<int> IssueQueue::snapshot(const std::uint64_t* mask) const {
+  std::vector<int> order(static_cast<std::size_t>(capacity_));
+  order.resize(static_cast<std::size_t>(sorted_by_age(mask, order)));
+  return order;
 }
 
 bool IssueQueue::validate() const {
+  // ready and pending ⊆ occupied; nothing is set past capacity.
+  for (std::size_t w = 0; w < static_cast<std::size_t>(words_); ++w) {
+    if ((ready_[w] & ~occupied_[w]) != 0) return false;
+    if (((pending_[0][w] | pending_[1][w]) & ~occupied_[w]) != 0) {
+      return false;
+    }
+  }
+  if (capacity_ % 64 != 0 && (occupied_.back() >> (capacity_ % 64)) != 0) {
+    return false;
+  }
+  // Every consumer-mask bit must belong to an occupied slot whose matching
+  // source is that register.
+  std::vector<std::uint8_t> watched(static_cast<std::size_t>(capacity_), 0);
+  for (int k = 0; k < kNumRegClasses; ++k) {
+    const auto& masks = consumers_[k];
+    for (std::size_t base = 0; base < masks.size();
+         base += static_cast<std::size_t>(words_)) {
+      const std::size_t pair = base / static_cast<std::size_t>(words_);
+      const int i = static_cast<int>(pair % 2);
+      const auto index = static_cast<std::int16_t>(pair / 2);
+      for (int w = 0; w < words_; ++w) {
+        for (std::uint64_t bits = masks[base + static_cast<std::size_t>(w)];
+             bits != 0; bits &= bits - 1) {
+          const int slot = w * 64 + std::countr_zero(bits);
+          if (slot >= capacity_ || !occupied(slot)) return false;
+          const IqEntry& e = entries_[static_cast<std::size_t>(slot)];
+          const PhysRef& src = i == 0 ? e.src0 : e.src1;
+          if (!src.valid() || src.cls != static_cast<RegClass>(k) ||
+              src.index != index) {
+            return false;
+          }
+          watched[static_cast<std::size_t>(slot)] |=
+              static_cast<std::uint8_t>(1u << i);
+        }
+      }
+    }
+  }
   int occupied_count = 0;
+  int ready_total = 0;
   int per_thread[kMaxThreads] = {};
   int ready[kMaxThreads] = {};
   for (int slot = 0; slot < capacity_; ++slot) {
-    const Slot& s = slots_[static_cast<std::size_t>(slot)];
-    if (!s.in_use) continue;
+    if (!occupied(slot)) continue;
+    const IqEntry& e = entries_[static_cast<std::size_t>(slot)];
+    const std::size_t w = word_of(slot);
+    const std::uint64_t bit = bit_of(slot);
     ++occupied_count;
-    ++per_thread[s.entry.tid];
-    if (s.unready == 0) ++ready[s.entry.tid];
-    // unready must mirror the watch mask, and each watched source must sit
-    // on the consumer list of its own register (reachable from the head).
-    int watched = 0;
-    for (int i = 0; i < 2; ++i) {
-      if (!(s.watch_mask & (1u << i))) continue;
-      ++watched;
-      const PhysRef& ref = i == 0 ? s.entry.src0 : s.entry.src1;
-      if (!ref.valid()) return false;
-      const auto& heads = watch_heads_[static_cast<int>(ref.cls)];
-      if (static_cast<std::size_t>(ref.index) >= heads.size()) return false;
-      std::int32_t cur = heads[static_cast<std::size_t>(ref.index)];
-      bool found = false;
-      while (cur != -1) {
-        if (cur == cons_ref(slot, i)) found = true;
-        const Slot& node = slots_[static_cast<std::size_t>(cons_slot(cur))];
-        cur = node.cons_next[cons_src(cur)];
-      }
-      if (!found) return false;
+    ++per_thread[e.tid];
+    // The pending bits are exactly the watched sources (each in its own
+    // register's mask, per the scan above), and ready means none pending.
+    const unsigned pending = ((pending_[0][w] & bit) != 0 ? 1u : 0u) |
+                             ((pending_[1][w] & bit) != 0 ? 2u : 0u);
+    if (watched[static_cast<std::size_t>(slot)] != pending) return false;
+    if (entry_ready(slot) != (pending == 0)) return false;
+    if (pending == 0) {
+      ++ready[e.tid];
+      ++ready_total;
     }
-    if (watched != s.unready) return false;
+    if (keys_[static_cast<std::size_t>(slot)] != key_of(e)) return false;
   }
-  if (occupied_count != occupancy_) return false;
-  int ready_total = 0;
+  if (occupied_count != occupancy_ || ready_total != ready_count_) {
+    return false;
+  }
   for (int t = 0; t < kMaxThreads; ++t) {
     if (per_thread[t] != per_thread_[t]) return false;
     if (ready[t] != ready_per_thread_[t]) return false;
-    ready_total += ready[t];
-  }
-  if (ready_total != ready_count_) return false;
-  // Per-thread lists must cover exactly their slot sets in seq order, and
-  // every listed slot must belong to the thread whose list holds it.
-  for (int t = 0; t < kMaxThreads; ++t) {
-    int walked = 0;
-    for (int slot = age_head_[t]; slot != -1;
-         slot = slots_[static_cast<std::size_t>(slot)].age_next) {
-      const Slot& s = slots_[static_cast<std::size_t>(slot)];
-      if (!s.in_use || s.entry.tid != t) return false;
-      if (s.age_next != -1 &&
-          s.entry.seq >= slots_[static_cast<std::size_t>(s.age_next)]
-                             .entry.seq) {
-        return false;
-      }
-      ++walked;
-    }
-    if (walked != per_thread_[t]) return false;
-    walked = 0;
-    for (int slot = ready_head_[t]; slot != -1;
-         slot = slots_[static_cast<std::size_t>(slot)].ready_next) {
-      const Slot& s = slots_[static_cast<std::size_t>(slot)];
-      if (!s.in_use || s.entry.tid != t || s.unready != 0) return false;
-      if (s.ready_next != -1 &&
-          s.entry.seq >= slots_[static_cast<std::size_t>(s.ready_next)]
-                             .entry.seq) {
-        return false;
-      }
-      ++walked;
-    }
-    if (walked != ready_per_thread_[t]) return false;
   }
   return true;
 }

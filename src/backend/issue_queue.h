@@ -3,24 +3,28 @@
 // Selection is age-ordered among ready entries, subject to the cluster's
 // issue-port constraints (arbitrated by the core's issue stage).
 //
-// Readiness is event-driven, modelling the paper's IQ wakeup CAM: a source
-// that is not ready at dispatch registers a *watch* on its physical
-// register; when the producer completes, wakeup() walks that register's
-// consumer list, and an entry whose last missing source arrived moves onto
-// its thread's age-ordered ready list. The issue stage therefore scans
-// only ready entries instead of re-probing every occupied slot every
-// cycle.
+// State lives in per-slot bitmasks of (capacity + 63) / 64 words — one
+// word at the paper's Table 1 sizes. `occupied` and `ready` mark the
+// slots in use and those with every source available; `pending[i]` marks
+// the slots still waiting on source i.
 //
-// Age and ready lists are intrusive and kept *per thread*: a thread
-// dispatches in program order and its producers complete in rough program
-// order, so per-thread inserts are O(1) appends near the tail — whereas a
-// single cross-thread list degrades to deep walks whenever two threads'
-// sequence counters diverge. Global age order (seq, then thread id) is
-// recovered on demand by OrderedIter, a k-way merge over the at-most-
-// kMaxThreads per-thread lists.
+// Readiness is event-driven, modelling the paper's IQ wakeup CAM: a source
+// that is not ready at dispatch sets the slot's bit in its register's
+// consumer mask (one mask per register and source index); when the
+// producer completes, wakeup() clears those slots' pending bits a word
+// at a time, and a slot with no pending source left joins the ready mask.
+// The issue stage therefore looks only at ready slots instead of
+// re-probing every occupied slot every cycle.
+//
+// Age order is (seq, then thread id); each slot carries that pair packed
+// into one integer key, and the ready slots are put in age order when the
+// issue stage asks for them (a handful per cycle). The key's low bits also
+// hold the µop's port class, which is all the issue stage reads besides
+// age.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/phys_ref.h"
@@ -42,21 +46,21 @@ struct IqEntry {
 
 class IssueQueue {
  public:
-  /// Merged age-ordered cursor over the per-thread lists (oldest first:
-  /// lowest (seq, tid)). next() returns -1 at the end. The cursor is
-  /// advanced past a slot *before* that slot is handed out, so the caller
-  /// may remove the returned slot (issue grant) while iterating; inserting
-  /// or removing any *other* slot invalidates the cursor.
+  /// Oldest-first cursor over a snapshot of slots (lowest (seq, tid)
+  /// first). next() returns -1 at the end. The caller may remove the
+  /// returned slot (issue grant) while iterating; inserting or removing
+  /// any *other* slot invalidates the cursor.
   class OrderedIter {
    public:
-    [[nodiscard]] int next();
+    [[nodiscard]] int next() {
+      return pos_ < order_.size() ? order_[pos_++] : -1;
+    }
 
    private:
     friend class IssueQueue;
-    OrderedIter(const IssueQueue& iq, const int* heads, bool ready_links);
-    const IssueQueue* iq_;
-    bool ready_links_;
-    int cursor_[kMaxThreads];
+    explicit OrderedIter(std::vector<int> order) : order_(std::move(order)) {}
+    std::vector<int> order_;
+    std::size_t pos_ = 0;
   };
 
   explicit IssueQueue(int capacity);
@@ -74,8 +78,8 @@ class IssueQueue {
   void remove(int slot);
 
   /// Producer completion for register `(cls, index)`: clears the watch of
-  /// every consumer; entries whose last missing source this was move onto
-  /// their thread's ready list.
+  /// every consumer; entries whose last pending source this was become
+  /// ready.
   void wakeup(RegClass cls, std::int16_t index);
 
   [[nodiscard]] const IqEntry& entry(int slot) const;
@@ -97,58 +101,65 @@ class IssueQueue {
   }
   [[nodiscard]] int ready_count() const noexcept { return ready_count_; }
 
+  /// Port class of the µop at `slot`.
+  [[nodiscard]] trace::PortClass port_class(int slot) const {
+    return static_cast<trace::PortClass>(
+        keys_[static_cast<std::size_t>(slot)] & kClassMask);
+  }
+
+  /// Writes the ready slots to `out`, oldest first, and returns how many
+  /// there are. `out` must hold capacity() slots.
+  int ready_by_age(std::span<int> out) const noexcept {
+    return sorted_by_age(ready_.data(), out);
+  }
+
   /// True when register `(cls, index)` has at least one registered watch.
   [[nodiscard]] bool has_consumers(RegClass cls, std::int16_t index) const;
 
-  /// Merged oldest-first cursor over all occupied entries.
+  /// Oldest-first cursor over all occupied entries.
   [[nodiscard]] OrderedIter age_iter() const {
-    return OrderedIter(*this, age_head_, /*ready_links=*/false);
+    return OrderedIter(snapshot(occupied_.data()));
   }
-  /// Merged oldest-first cursor over ready entries only.
+  /// Oldest-first cursor over ready entries only.
   [[nodiscard]] OrderedIter ready_iter() const {
-    return OrderedIter(*this, ready_head_, /*ready_links=*/true);
+    return OrderedIter(snapshot(ready_.data()));
   }
 
-  /// Cross-checks every incrementally-maintained structure (occupancy
-  /// counters, per-thread list order, ready membership, watch links)
-  /// against first principles. Test/debug aid; returns false on any drift.
+  /// Cross-checks every incrementally-maintained structure (slot masks,
+  /// occupancy counters, consumer masks, pending-source bits) against
+  /// first principles. Test/debug aid; returns false on any drift.
   [[nodiscard]] bool validate() const;
 
  private:
-  struct Slot {
-    IqEntry entry;
-    bool in_use = false;
-    std::uint8_t unready = 0;     // sources still watched
-    std::uint8_t watch_mask = 0;  // bit i: source i is on a consumer list
-    // Intrusive links within the owning thread's lists.
-    int age_prev = -1;
-    int age_next = -1;
-    int ready_prev = -1;
-    int ready_next = -1;
-    // Consumer-list links per source; a link value encodes (slot << 1) | i.
-    std::int32_t cons_prev[2] = {-1, -1};
-    std::int32_t cons_next[2] = {-1, -1};
-  };
+  /// Offset of register `index`'s source-`i` mask in consumers_[cls].
+  [[nodiscard]] std::size_t consumer_offset(std::int16_t index,
+                                            int i) const noexcept {
+    return (static_cast<std::size_t>(index) * 2 +
+            static_cast<std::size_t>(i)) *
+           static_cast<std::size_t>(words_);
+  }
+  [[nodiscard]] std::uint64_t* consumer_mask(RegClass cls,
+                                             std::int16_t index, int i);
+  [[nodiscard]] static std::uint64_t key_of(const IqEntry& entry) noexcept;
+  int sorted_by_age(const std::uint64_t* mask,
+                    std::span<int> out) const noexcept;
+  [[nodiscard]] std::vector<int> snapshot(const std::uint64_t* mask) const;
 
-  void thread_list_insert(int slot, int* head, int* tail,
-                          int Slot::* prev_link, int Slot::* next_link);
-  void thread_list_remove(int slot, int* head, int* tail,
-                          int Slot::* prev_link, int Slot::* next_link);
-  void ready_list_insert(int slot);
-  void watch_source(int slot, int i, const PhysRef& ref);
-  void unwatch_source(int slot, int i);
-
-  std::vector<Slot> slots_;
-  std::vector<int> free_slots_;
-  // Per-register consumer-list heads, grown on demand to the largest
-  // watched register index (unbounded register files stay cheap until a
-  // high index is actually watched).
-  std::vector<std::int32_t> watch_heads_[kNumRegClasses];
-  int age_head_[kMaxThreads];
-  int age_tail_[kMaxThreads];
-  int ready_head_[kMaxThreads];
-  int ready_tail_[kMaxThreads];
   int capacity_;
+  int words_;  // 64-bit words per slot mask
+  std::vector<IqEntry> entries_;
+  // (seq << 4) | (tid << 2) | port class per slot. (seq, tid) is unique
+  // among live entries, so ascending key order is age order and the class
+  // bits never decide a comparison.
+  static constexpr std::uint64_t kClassMask = 3;
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> occupied_;
+  std::vector<std::uint64_t> ready_;
+  std::vector<std::uint64_t> pending_[2];  // per source index
+  // Consumer masks, `words_` words per (register, source index), grown on
+  // demand to the largest watched register index (unbounded register
+  // files stay cheap until a high index is actually watched).
+  std::vector<std::uint64_t> consumers_[kNumRegClasses];
   int occupancy_ = 0;
   int ready_count_ = 0;
   int per_thread_[kMaxThreads] = {};

@@ -5,10 +5,12 @@
 // cluster has one universal port), which reproduces Table 1 exactly at
 // width 3. Each port accepts one µop per cycle. Figure 5's workload-
 // imbalance accounting asks, per port class, whether a cluster had a free
-// compatible port after selection — exposed here via free_compatible().
+// compatible port after selection — exposed here via can_book().
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstdint>
 
 #include "trace/uop.h"
 
@@ -19,31 +21,50 @@ class PortSet {
   static constexpr int kNumPorts = 3;  // paper Table 1 width
   static constexpr int kMaxPorts = 8;  // hard bound on per-cluster width
 
-  PortSet() noexcept = default;
-  explicit PortSet(int num_ports) noexcept : num_ports_(num_ports) {}
+  constexpr PortSet() noexcept : PortSet(kNumPorts) {}
+  constexpr explicit PortSet(int num_ports) noexcept
+      : num_ports_(num_ports),
+        all_(static_cast<std::uint8_t>((1u << num_ports) - 1)) {
+    for (int k = 0; k < trace::kNumPortClasses; ++k) {
+      for (int p = 0; p < num_ports; ++p) {
+        if (compatible(p, static_cast<trace::PortClass>(k), num_ports)) {
+          compat_[k] |= static_cast<std::uint8_t>(1u << p);
+        }
+      }
+    }
+  }
 
   [[nodiscard]] int num_ports() const noexcept { return num_ports_; }
 
   /// Resets all ports to free (start of cycle).
-  void new_cycle() noexcept { busy_ = {}; }
+  void new_cycle() noexcept { busy_ = 0; }
 
-  /// Books a free port compatible with `cls`; false when none remains.
-  bool try_book(trace::PortClass cls) noexcept;
+  /// Books the lowest-numbered free port compatible with `cls`; false when
+  /// none remains. Lowest-first keeps integer µops off the last port
+  /// (shared with mem) until the FP/SIMD-capable ones are taken.
+  bool try_book(trace::PortClass cls) noexcept {
+    const unsigned free = free_mask(cls);
+    if (free == 0) return false;
+    busy_ |= static_cast<std::uint8_t>(free & (0u - free));
+    return true;
+  }
+
+  /// True when a port compatible with `cls` is still free.
+  [[nodiscard]] bool can_book(trace::PortClass cls) const noexcept {
+    return free_mask(cls) != 0;
+  }
 
   /// Number of free ports still compatible with `cls`.
-  [[nodiscard]] int free_compatible(trace::PortClass cls) const noexcept;
+  [[nodiscard]] int free_compatible(trace::PortClass cls) const noexcept {
+    return std::popcount(free_mask(cls));
+  }
 
   [[nodiscard]] bool port_busy(int port) const noexcept {
-    return busy_[port];
+    return ((busy_ >> port) & 1u) != 0;
   }
 
   /// True when every port is booked this cycle (no class can issue).
-  [[nodiscard]] bool all_booked() const noexcept {
-    for (int p = 0; p < num_ports_; ++p) {
-      if (!busy_[p]) return false;
-    }
-    return true;
-  }
+  [[nodiscard]] bool all_booked() const noexcept { return busy_ == all_; }
 
   /// Compatibility under the generalized mix: can `port` of a
   /// `num_ports`-wide cluster execute µops of `cls`?
@@ -61,8 +82,14 @@ class PortSet {
   }
 
  private:
-  int num_ports_ = kNumPorts;
-  std::array<bool, kMaxPorts> busy_ = {};
+  [[nodiscard]] unsigned free_mask(trace::PortClass cls) const noexcept {
+    return compat_[static_cast<int>(cls)] & ~unsigned{busy_};
+  }
+
+  int num_ports_;
+  std::uint8_t all_;       // one bit per port
+  std::uint8_t busy_ = 0;  // bit p: port p booked this cycle
+  std::array<std::uint8_t, trace::kNumPortClasses> compat_ = {};
 };
 
 }  // namespace clusmt::backend

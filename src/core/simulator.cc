@@ -138,6 +138,8 @@ Simulator::Simulator(const SimConfig& config)
     }
     steering_.set_capacities(
         std::span<const int>(caps, config.num_clusters));
+    issue_order_.resize(static_cast<std::size_t>(
+        *std::max_element(caps, caps + config.num_clusters)));
   }
 
   interconnect_ = std::make_unique<backend::Interconnect>(
@@ -993,15 +995,9 @@ void Simulator::issue_stage() {
   bool any_issue = false;
   int ready_unissued[kMaxClusters][trace::kNumPortClasses] = {};
 
-  // Grants an issue port to the (ready) entry at `slot` if one is free.
-  const auto try_issue = [&](int c, int slot) {
-    backend::Cluster& cluster = clusters_[c];
-    const backend::IqEntry& entry = cluster.iq().entry(slot);
-    const trace::PortClass port_class = trace::port_class_of(entry.cls);
-    if (!cluster.ports().try_book(port_class)) {
-      ++ready_unissued[c][static_cast<int>(port_class)];
-      return;
-    }
+  // Issues the entry at `slot`, whose port the caller has booked.
+  const auto grant = [&](int c, int slot) {
+    const backend::IqEntry& entry = clusters_[c].iq().entry(slot);
     DynUop& uop =
         robs_[rob_ref_tid(entry.rob_ref)].at_slot(rob_ref_slot(entry.rob_ref));
     iq_remove(c, slot);
@@ -1019,45 +1015,54 @@ void Simulator::issue_stage() {
 
   for (int c = 0; c < num_clusters; ++c) {
     backend::Cluster& cluster = clusters_[c];
-    cluster.ports().new_cycle();
+    backend::PortSet& ports = cluster.ports();
+    backend::IssueQueue& iq = cluster.iq();
+    ports.new_cycle();
     if (issue_model_ == IssueModel::kWakeup) {
       // The view's unready counters sample the wakeup bookkeeping here, at
       // the same point the reference scan would have counted them, keeping
       // the documented one-cycle-stale hardware-counter semantics.
       for (int t = 0; t < num_threads; ++t) {
-        view_.iq_unready_tc[t][c] = cluster.iq().waiting_of(t);
+        view_.iq_unready_tc[t][c] = iq.waiting_of(t);
       }
-      // Scan only ready entries, oldest first (the iterator advances past
-      // a slot before handing it out, so issuing may remove it).
-      backend::IssueQueue::OrderedIter it = cluster.iq().ready_iter();
-      for (int slot = it.next(); slot != -1; slot = it.next()) {
-        try_issue(c, slot);
-        if (cluster.ports().all_booked()) {
-          // Every port is taken: the rest of the ready list can only be
-          // denied. Tally the Figure 5 events without probing the ports
-          // (try_book on a fully-booked set always fails).
-          for (int rest = it.next(); rest != -1; rest = it.next()) {
-            const trace::PortClass pc =
-                trace::port_class_of(cluster.iq().entry(rest).cls);
-            ++ready_unissued[c][static_cast<int>(pc)];
+      // Offer each ready entry a port, oldest first; once every port is
+      // booked the rest can only be denied (Figure 5 tallies them).
+      const int ready = iq.ready_by_age(issue_order_);
+      for (int i = 0; i < ready; ++i) {
+        const int slot = issue_order_[static_cast<std::size_t>(i)];
+        const trace::PortClass port_class = iq.port_class(slot);
+        if (!ports.try_book(port_class)) {
+          ++ready_unissued[c][static_cast<int>(port_class)];
+          continue;
+        }
+        grant(c, slot);
+        if (ports.all_booked()) {
+          for (++i; i < ready; ++i) {
+            const int rest = issue_order_[static_cast<std::size_t>(i)];
+            ++ready_unissued[c][static_cast<int>(iq.port_class(rest))];
           }
-          break;
         }
       }
     } else {
       // Reference model: probe every occupied slot through the register
-      // files (the original per-cycle rescan). Kept as the differential-
-      // test oracle for the wakeup path.
+      // files (the original per-cycle rescan), offering each ready entry
+      // a port in age order. Kept as the differential-test oracle for the
+      // wakeup path.
       for (int t = 0; t < num_threads; ++t) {
         view_.iq_unready_tc[t][c] = 0;
       }
-      backend::IssueQueue::OrderedIter it = cluster.iq().age_iter();
+      backend::IssueQueue::OrderedIter it = iq.age_iter();
       for (int slot = it.next(); slot != -1; slot = it.next()) {
-        const backend::IqEntry& entry = cluster.iq().entry(slot);
+        const backend::IqEntry& entry = iq.entry(slot);
         if (!source_ready(entry.src0) || !source_ready(entry.src1)) {
           ++view_.iq_unready_tc[entry.tid][c];
+          continue;
+        }
+        const trace::PortClass port_class = trace::port_class_of(entry.cls);
+        if (ports.try_book(port_class)) {
+          grant(c, slot);
         } else {
-          try_issue(c, slot);
+          ++ready_unissued[c][static_cast<int>(port_class)];
         }
       }
     }
@@ -1072,8 +1077,8 @@ void Simulator::issue_stage() {
       bool other_has_slot = false;
       for (int c2 = 0; c2 < num_clusters; ++c2) {
         if (c2 == c) continue;
-        if (clusters_[c2].ports().free_compatible(
-                static_cast<trace::PortClass>(k)) > 0) {
+        if (clusters_[c2].ports().can_book(
+                static_cast<trace::PortClass>(k))) {
           other_has_slot = true;
           break;
         }

@@ -32,7 +32,7 @@ class Simulator {
  public:
   /// Issue-stage implementation. kWakeup (default) is the event-driven
   /// path: completing producers wake their consumers, and selection scans
-  /// only the per-cluster ready lists. kScanReference re-probes every
+  /// only the per-cluster ready slots. kScanReference re-probes every
   /// occupied issue-queue slot every cycle (the original model); it exists
   /// as the oracle for differential tests — both paths must produce
   /// bit-identical SimStats.
@@ -393,6 +393,8 @@ class Simulator {
   std::unique_ptr<frontend::FetchEngine> fetch_;
   std::vector<frontend::RenameMap> rename_maps_;
   std::vector<backend::Cluster> clusters_;
+  // Issue-stage scratch: one cluster's ready slots in age order.
+  std::vector<int> issue_order_;
   std::unique_ptr<backend::Interconnect> interconnect_;
   std::unique_ptr<memory::MemoryHierarchy> hierarchy_;
   std::unique_ptr<memory::MemOrderBuffer> mob_;

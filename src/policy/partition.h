@@ -3,9 +3,19 @@
 // differ only in where a thread may place µops.
 #pragma once
 
+#include <algorithm>
+
 #include "policy/policy.h"
 
 namespace clusmt::policy {
+
+/// A partitioned scheme's per-thread cap: `fraction` of `capacity`,
+/// rounded down, never below one entry. The truncating cast equals floor
+/// for every non-negative product, and a negative one clamps to 1 either
+/// way, so no libm call is needed on the rename path.
+[[nodiscard]] inline int fraction_of(int capacity, double fraction) noexcept {
+  return std::max(1, static_cast<int>(capacity * fraction));
+}
 
 /// Cluster-Insensitive Static Partitioning: a thread may hold at most
 /// `partition_fraction` of the *total* issue-queue entries, wherever they

@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "backend/cluster.h"
 #include "backend/interconnect.h"
 #include "backend/issue_queue.h"
@@ -184,7 +193,7 @@ TEST(IssueQueueWakeup, RemoveTearsDownWatches) {
   const int c = iq.insert(IqEntry{.tid = 1, .seq = 3, .src0 = reg}, false);
   EXPECT_TRUE(iq.has_consumers(RegClass::kInt, 7));
 
-  // Squash the middle consumer: the register's list must stay intact for
+  // Squash the middle consumer: the register's mask must stay intact for
   // the survivors, and the squashed entry must not resurface on wakeup.
   iq.remove(b);
   EXPECT_EQ(iq.waiting_of(0), 1);
@@ -201,14 +210,14 @@ TEST(IssueQueueWakeup, RemoveTearsDownWatches) {
   EXPECT_TRUE(iq.validate());
 }
 
-TEST(IssueQueueWakeup, RemoveHeadAndTailConsumersUnlinksCleanly) {
+TEST(IssueQueueWakeup, RemoveFirstAndLastConsumersUnlinksCleanly) {
   IssueQueue iq(8);
   const PhysRef reg{0, RegClass::kInt, 4};
   const int a = iq.insert(IqEntry{.tid = 0, .seq = 1, .src0 = reg}, false);
   const int b = iq.insert(IqEntry{.tid = 0, .seq = 2, .src0 = reg}, false);
   const int c = iq.insert(IqEntry{.tid = 0, .seq = 3, .src0 = reg}, false);
-  iq.remove(c);  // list head (most recent watch)
-  iq.remove(a);  // list tail
+  iq.remove(c);  // most recent watch
+  iq.remove(a);  // oldest watch
   EXPECT_TRUE(iq.validate());
   iq.wakeup(RegClass::kInt, 4);
   EXPECT_EQ(ready_order(iq), (std::vector<int>{b}));
@@ -224,6 +233,200 @@ TEST(IssueQueueWakeup, SameRegisterOnBothSources) {
   iq.wakeup(RegClass::kInt, 9);    // single completion satisfies both
   EXPECT_TRUE(iq.entry_ready(slot));
   EXPECT_TRUE(iq.validate());
+}
+
+TEST(IssueQueueWakeup, ReadyByAgeListsReadySlotsOldestFirst) {
+  IssueQueue iq(8);
+  const PhysRef reg{0, RegClass::kInt, 2};
+  const int young = iq.insert(IqEntry{.tid = 0, .seq = 9});
+  const int waiting =
+      iq.insert(IqEntry{.tid = 0, .seq = 1, .src0 = reg}, false);
+  const int fp = iq.insert(IqEntry{.tid = 1, .seq = 4,
+                                   .cls = trace::UopClass::kFpAdd});
+  const int mem = iq.insert(IqEntry{.tid = 0, .seq = 4,
+                                    .cls = trace::UopClass::kLoad});
+  std::vector<int> out(8, -1);
+  ASSERT_EQ(iq.ready_by_age(out), 3);
+  EXPECT_EQ(std::vector<int>(out.begin(), out.begin() + 3),
+            (std::vector<int>{mem, fp, young}));
+  EXPECT_EQ(iq.port_class(mem), trace::PortClass::kMem);
+  EXPECT_EQ(iq.port_class(fp), trace::PortClass::kFpSimd);
+  EXPECT_EQ(iq.port_class(waiting), trace::PortClass::kInt);
+  iq.wakeup(RegClass::kInt, 2);
+  ASSERT_EQ(iq.ready_by_age(out), 4);
+  EXPECT_EQ(out[0], waiting);
+}
+
+/// Plain reference for the randomized differential test below: live
+/// entries keyed by slot, each with a flag per still-watched source. No
+/// masks, no counters, no incremental state.
+class RefIssueQueue {
+ public:
+  struct Entry {
+    IqEntry entry;
+    bool watch[2] = {false, false};
+    [[nodiscard]] bool ready() const { return !watch[0] && !watch[1]; }
+  };
+
+  std::map<int, Entry> live;
+
+  /// Occupied (or only ready) slots, oldest (seq, tid) first.
+  [[nodiscard]] std::vector<int> order(bool ready_only) const {
+    std::vector<std::pair<std::pair<std::uint64_t, ThreadId>, int>> keyed;
+    for (const auto& [slot, e] : live) {
+      if (ready_only && !e.ready()) continue;
+      keyed.push_back({{e.entry.seq, e.entry.tid}, slot});
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<int> slots;
+    for (const auto& k : keyed) slots.push_back(k.second);
+    return slots;
+  }
+
+  void wakeup(RegClass cls, std::int16_t index) {
+    for (auto& [slot, e] : live) {
+      const PhysRef* srcs[2] = {&e.entry.src0, &e.entry.src1};
+      for (int i = 0; i < 2; ++i) {
+        if (srcs[i]->cls == cls && srcs[i]->index == index) {
+          e.watch[i] = false;
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] bool watched(RegClass cls, std::int16_t index) const {
+    for (const auto& [slot, e] : live) {
+      if ((e.watch[0] && e.entry.src0.cls == cls &&
+           e.entry.src0.index == index) ||
+          (e.watch[1] && e.entry.src1.cls == cls &&
+           e.entry.src1.index == index)) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+constexpr int kPoolRegs = 5;  // per register class: forces shared watches
+
+void expect_matches_reference(const IssueQueue& iq, const RefIssueQueue& ref,
+                              int threads) {
+  ASSERT_TRUE(iq.validate());
+  ASSERT_EQ(iq.occupancy(), static_cast<int>(ref.live.size()));
+  ASSERT_EQ(iq.full(), static_cast<int>(ref.live.size()) == iq.capacity());
+  int ready_total = 0;
+  int waiting[kMaxThreads] = {};
+  int per_thread[kMaxThreads] = {};
+  for (const auto& [slot, e] : ref.live) {
+    ASSERT_TRUE(iq.occupied(slot)) << "slot " << slot;
+    ASSERT_EQ(iq.entry(slot).seq, e.entry.seq) << "slot " << slot;
+    ASSERT_EQ(iq.entry(slot).tid, e.entry.tid) << "slot " << slot;
+    ASSERT_EQ(iq.entry_ready(slot), e.ready()) << "slot " << slot;
+    ASSERT_EQ(iq.port_class(slot), trace::port_class_of(e.entry.cls));
+    ++per_thread[e.entry.tid];
+    if (e.ready()) {
+      ++ready_total;
+    } else {
+      ++waiting[e.entry.tid];
+    }
+  }
+  ASSERT_EQ(iq.ready_count(), ready_total);
+  for (int t = 0; t < threads; ++t) {
+    ASSERT_EQ(iq.occupancy_of(t), per_thread[t]) << "thread " << t;
+    ASSERT_EQ(iq.waiting_of(t), waiting[t]) << "thread " << t;
+  }
+  std::vector<int> age;
+  IssueQueue::OrderedIter it = iq.age_iter();
+  for (int slot = it.next(); slot != -1; slot = it.next()) age.push_back(slot);
+  ASSERT_EQ(age, ref.order(false));
+  const std::vector<int> ready = ref.order(true);
+  std::vector<int> got;
+  it = iq.ready_iter();
+  for (int slot = it.next(); slot != -1; slot = it.next()) got.push_back(slot);
+  ASSERT_EQ(got, ready);
+
+  std::vector<int> by_age(static_cast<std::size_t>(iq.capacity()), -1);
+  by_age.resize(static_cast<std::size_t>(iq.ready_by_age(by_age)));
+  ASSERT_EQ(by_age, ready);
+
+  for (int k = 0; k < kNumRegClasses; ++k) {
+    for (std::int16_t r = 0; r < kPoolRegs; ++r) {
+      const auto cls = static_cast<RegClass>(k);
+      ASSERT_EQ(iq.has_consumers(cls, r), ref.watched(cls, r))
+          << "register " << k << ":" << r;
+    }
+  }
+}
+
+/// Drives an IssueQueue and the reference through one seeded random
+/// sequence of inserts, removes (a waiting entry's removal models a squash)
+/// and wakeups, comparing every observable after each step.
+void run_random_iq(int capacity, std::uint64_t seed, int threads,
+                   int steps) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity) + ", seed " +
+               std::to_string(seed) + ", threads " + std::to_string(threads));
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::uint64_t n) {
+    return static_cast<int>(rng() % n);
+  };
+  const auto random_reg = [&] {
+    return PhysRef{0, static_cast<RegClass>(pick(kNumRegClasses)),
+                   static_cast<std::int16_t>(pick(kPoolRegs))};
+  };
+  IssueQueue iq(capacity);
+  RefIssueQueue ref;
+  std::uint64_t next_seq[kMaxThreads] = {};
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const int op = pick(100);
+    if (op < 45) {
+      IqEntry e;
+      e.tid = pick(static_cast<std::uint64_t>(threads));
+      next_seq[e.tid] += 1 + static_cast<std::uint64_t>(pick(4));
+      e.seq = next_seq[e.tid];
+      e.cls = static_cast<trace::UopClass>(pick(trace::kNumUopClasses));
+      e.src0 = pick(4) == 0 ? kNoPhysRef : random_reg();
+      const int shape = pick(4);
+      e.src1 = shape == 0 ? kNoPhysRef : shape == 1 ? e.src0 : random_reg();
+      const bool ready0 = pick(2) == 0;
+      const bool ready1 = pick(2) == 0;
+      const int slot = iq.insert(e, ready0, ready1);
+      if (static_cast<int>(ref.live.size()) == capacity) {
+        ASSERT_EQ(slot, -1);
+      } else {
+        ASSERT_GE(slot, 0);
+        ASSERT_LT(slot, capacity);
+        ASSERT_EQ(ref.live.count(slot), 0u) << "slot " << slot << " reused";
+        RefIssueQueue::Entry& r = ref.live[slot];
+        r.entry = e;
+        r.watch[0] = e.src0.valid() && !ready0;
+        r.watch[1] = e.src1.valid() && !ready1;
+      }
+    } else if (op < 70) {
+      if (ref.live.empty()) continue;
+      auto victim = ref.live.begin();
+      std::advance(victim, pick(ref.live.size()));
+      iq.remove(victim->first);
+      ref.live.erase(victim);
+    } else {
+      const PhysRef reg = random_reg();
+      iq.wakeup(reg.cls, reg.index);
+      ref.wakeup(reg.cls, reg.index);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(iq, ref, threads));
+  }
+}
+
+TEST(IssueQueueRandom, MatchesReferenceModel) {
+  for (const int capacity : {1, 7, 32, 64, 65, 200}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const int threads = seed % 2 == 0 ? kMaxThreads : 2;
+      ASSERT_NO_FATAL_FAILURE(
+          run_random_iq(capacity, seed * 7919 + static_cast<std::uint64_t>(
+                                                    capacity),
+                        threads, 1500));
+    }
+  }
 }
 
 TEST(Ports, CompatibilityMatrix) {
@@ -274,6 +477,72 @@ TEST(Ports, FreeCompatibleCounts) {
   (void)ports.try_book(trace::PortClass::kFpSimd);
   EXPECT_EQ(ports.free_compatible(trace::PortClass::kFpSimd), 1);
   EXPECT_EQ(ports.free_compatible(trace::PortClass::kInt), 2);
+}
+
+/// The ascending-scan formulation PortSet's masks replace: book the
+/// lowest-numbered free port compatible with the class.
+class LoopPorts {
+ public:
+  explicit LoopPorts(int n) : n_(n) {}
+  bool try_book(trace::PortClass cls) {
+    for (int p = 0; p < n_; ++p) {
+      if (!busy_[p] && PortSet::compatible(p, cls, n_)) {
+        busy_[p] = true;
+        return true;
+      }
+    }
+    return false;
+  }
+  [[nodiscard]] int free_compatible(trace::PortClass cls) const {
+    int count = 0;
+    for (int p = 0; p < n_; ++p) {
+      if (!busy_[p] && PortSet::compatible(p, cls, n_)) ++count;
+    }
+    return count;
+  }
+  [[nodiscard]] bool busy(int p) const { return busy_[p]; }
+  [[nodiscard]] bool all_booked() const {
+    for (int p = 0; p < n_; ++p) {
+      if (!busy_[p]) return false;
+    }
+    return true;
+  }
+
+ private:
+  int n_;
+  bool busy_[PortSet::kMaxPorts] = {};
+};
+
+TEST(Ports, MasksMatchLoopFormulationForEveryWidth) {
+  // Every booking sequence one longer than the width, for widths 1-8.
+  for (int width = 1; width <= PortSet::kMaxPorts; ++width) {
+    int sequences = 1;
+    for (int i = 0; i <= width; ++i) sequences *= trace::kNumPortClasses;
+    for (int code = 0; code < sequences; ++code) {
+      PortSet ports(width);
+      LoopPorts loop(width);
+      int rest = code;
+      for (int step = 0; step <= width; ++step) {
+        const auto cls =
+            static_cast<trace::PortClass>(rest % trace::kNumPortClasses);
+        rest /= trace::kNumPortClasses;
+        ASSERT_EQ(ports.try_book(cls), loop.try_book(cls))
+            << "width " << width << " sequence " << code << " step " << step;
+        for (int p = 0; p < width; ++p) {
+          ASSERT_EQ(ports.port_busy(p), loop.busy(p))
+              << "width " << width << " sequence " << code << " port " << p;
+        }
+        for (int k = 0; k < trace::kNumPortClasses; ++k) {
+          const auto pc = static_cast<trace::PortClass>(k);
+          ASSERT_EQ(ports.free_compatible(pc), loop.free_compatible(pc));
+          ASSERT_EQ(ports.can_book(pc), loop.free_compatible(pc) > 0);
+        }
+        ASSERT_EQ(ports.all_booked(), loop.all_booked());
+      }
+      ports.new_cycle();
+      EXPECT_EQ(ports.free_compatible(trace::PortClass::kInt), width);
+    }
+  }
 }
 
 TEST(Interconnect, BandwidthPerCycle) {

@@ -138,7 +138,7 @@ TEST(IssueWakeupDifferential, MatchesScanReferenceAcrossGrid) {
 
 TEST(IssueWakeupDifferential, ConsumerTeardownSurvivesSquashStorm) {
   // Squash-heavy run, checked in small steps: every chunk boundary the
-  // wakeup CAM (watch lists, ready lists, waiting counters) and the
+  // wakeup CAM (consumer masks, ready mask, waiting counters) and the
   // incremental view must still cross-check — a leaked watch from a
   // squashed entry fails validate() loudly here.
   SimConfig config = harness::rf_study_config(64);

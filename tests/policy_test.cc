@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "policy/partition.h"
 #include "policy/policy.h"
 #include "policy/regfile_policy.h"
@@ -20,6 +23,17 @@ PipelineView make_view() {
     for (int k = 0; k < kNumRegClasses; ++k) v.rf_free[c][k] = 64;
   }
   return v;
+}
+
+TEST(FractionOf, MatchesFloorFormula) {
+  for (int capacity = 1; capacity <= 128; ++capacity) {
+    for (const double fraction :
+         {-0.5, 0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.75, 1.0}) {
+      EXPECT_EQ(fraction_of(capacity, fraction),
+                std::max(1, static_cast<int>(std::floor(capacity * fraction))))
+          << "capacity " << capacity << " fraction " << fraction;
+    }
+  }
 }
 
 TEST(PolicyFactory, NamesRoundTrip) {

@@ -25,23 +25,11 @@
 //                  results identical)
 //   --golden-emit PATH  also write the table as golden JSON (the format
 //                  tools/golden_diff compares; see bench/golden/)
-//   --shard-workers N  distributed mode: farm cache-miss cells to N local
-//                  sweep_worker processes through a spool directory, then
-//                  assemble the tables from the (now warm) --cache-dir.
-//                  Requires --cache-dir. Output is bit-identical for any
-//                  N, including 0 (in-process). See README "Distributed
-//                  sweeps".
-//   --spool-dir D  shared spool directory for --shard-workers (falls back
-//                  to $CLUSMT_SPOOL_DIR; default: a fresh temp dir). Point
-//                  several hosts' workers at one shared D to fan out
-//                  across machines.
-//   --worker-bin P sweep_worker binary to spawn (falls back to
-//                  $CLUSMT_WORKER_BIN, then next to the bench binary)
-//   --degrade-local  when the worker swarm cannot make progress (missing
-//                  binary, spawn failures, dead workers, exhausted cells),
-//                  warn and simulate the remaining cells in-process
-//                  instead of aborting the sweep; tables stay
-//                  bit-identical
+//   --shard I/N    simulate only shard I of N (0 <= I < N) into
+//                  --cache-dir (required) and exit without a table; merge
+//                  the N stores with tools/store_merge, then a plain run
+//                  over the union prints the tables. See README
+//                  "Distributed sweeps".
 #pragma once
 
 #include <chrono>
@@ -117,15 +105,7 @@ struct BenchOptions {
     harness::TapeRegistry::instance().set_enabled(!opt.no_tape);
     opt.skip_ahead = !args.get_bool("no-skip-ahead", false);
     opt.rename_memo = !args.get_bool("no-rename-memo", false);
-    opt.shard.workers = static_cast<int>(args.get_int("shard-workers", 0));
-    opt.shard.spool_dir = args.get_string("spool-dir", "");
-    if (opt.shard.spool_dir.empty()) {
-      if (const char* env = std::getenv("CLUSMT_SPOOL_DIR")) {
-        opt.shard.spool_dir = env;
-      }
-    }
-    opt.shard.worker_bin = args.get_string("worker-bin", "");
-    opt.shard.degrade_local = args.get_bool("degrade-local", false);
+    opt.shard = harness::shard_flag(args, opt.cache_dir);
     return opt;
   }
 

@@ -40,7 +40,7 @@ Registry& registry() {
 }
 
 /// Firing streams are independent per (seed, point, process): the pid mix
-/// makes sibling workers sharing one CLUSMT_FAULTS schedule fire at
+/// makes sibling processes sharing one CLUSMT_FAULTS schedule fire at
 /// different call ordinals instead of in lock-step.
 Xoshiro256 stream_for(std::string_view point, std::uint64_t seed) {
   Fnv1a h;

@@ -1,19 +1,20 @@
 // Process-wide fault-injection registry. Every recovery path of the
-// persistence/distribution stack (fsio, run_store, spool, shard,
-// sweep_worker) guards its failure-prone operations with a named fault
-// point; the point is compiled into ALL builds and costs one relaxed
-// atomic load while nothing is armed, so production binaries carry the
-// exact code paths the chaos tests exercise.
+// persistence stack guards its failure-prone operations with a named fault
+// point — fsio.write, fsio.rename (common/fsio.cc), run_store.load and
+// run_store.save (harness/run_store.cc). A point is compiled into ALL
+// builds and costs one relaxed atomic load while nothing is armed, so
+// production binaries carry the exact code paths the chaos tests exercise.
 //
 // Arming:
 //   - environment: CLUSMT_FAULTS="<point>:<mode>[:<prob>[:<seed>[:<max_fires>
 //     [:<delay_ms>]]]]" with entries separated by ',' or ';', parsed once at
-//     the first fault-point use of the process. Spawned workers inherit the
-//     variable, so one schedule arms a whole swarm.
+//     the first fault-point use of the process. Every shard process of a
+//     distributed sweep reads the same variable, so one schedule arms them
+//     all.
 //   - programmatic: arm()/arm_from_spec() from tests and the chaos harness.
 //
 // Modes (what a *fired* point does):
-//   error    the call site returns its failure path (I/O error, spawn fail)
+//   error    the call site returns its failure path (an I/O error)
 //   enospc   the call site emulates a full disk (partial write, then fail)
 //   partial  a torn write: a prefix of the bytes lands and SUCCESS is
 //            reported — the undetectable-at-write-time corruption that
@@ -21,11 +22,11 @@
 //   crash    _exit(kCrashExitCode) inside maybe_fail — the process dies at
 //            the point, exactly where a kill -9 or power loss would land
 //   delay    sleeps delay_ms inside maybe_fail, then proceeds normally
-//            (lease-expiry and straggler-stealing pressure)
+//            (slow-disk pressure)
 //
 // Firing is per-point pseudo-random: probability `prob` per evaluation,
 // drawn from a deterministic stream seeded by (seed, point name, pid) — the
-// pid mixing makes sibling worker processes fire at different call ordinals
+// pid mixing makes sibling shard processes fire at different call ordinals
 // under one shared schedule. `max_fires` (0 = unlimited) retires a point
 // after N fires, turning a fault transient.
 #pragma once
@@ -46,7 +47,7 @@ enum class Mode {
 };
 
 /// Exit status of a kCrash fire; distinguishable from real signals and
-/// normal exits in worker post-mortems.
+/// normal exits in post-mortems.
 inline constexpr int kCrashExitCode = 86;
 
 struct ArmSpec {

@@ -256,7 +256,8 @@ MergeResult merge_run_store(const std::string& into, const std::string& from,
     const std::string dst_path = dst.path_of(key);
     bool dst_ok = false;
     const std::string existing = read_whole_file(dst_path, dst_ok);
-    if (dst_ok) {
+    const bool repair = dst_ok && !decode_run_record(key, existing);
+    if (dst_ok && !repair) {
       ++(existing == record ? result.identical : result.conflicts);
       continue;
     }
@@ -264,10 +265,11 @@ MergeResult merge_run_store(const std::string& into, const std::string& from,
       std::error_code mk_ec;
       fs::create_directories(fs::path(dst_path).parent_path(), mk_ec);
       if (mk_ec || !write_file_atomic(dst_path, record)) {
-        continue;  // best-effort, like RunStore::save
+        ++result.failed;
+        continue;
       }
     }
-    ++result.copied;
+    ++(repair ? result.repaired : result.copied);
   }
   return result;
 }

@@ -2,8 +2,8 @@
 // compact, versioned binary records under a cache directory, keyed by
 // their 128-bit RunKey. A record survives the process, so repeated bench
 // invocations (figure regeneration, CI golden runs) reuse each other's
-// simulations — and the record is the wire format for farming cells to
-// other processes/hosts.
+// simulations — and stores filled by separate shard runs or hosts merge
+// into one (merge_run_store).
 //
 // Layout: <dir>/<hi-byte-of-key>/<032-hex-key>.run, one cell per file,
 // written atomically (common/fsio.h) so concurrent writers and killed
@@ -60,23 +60,28 @@ struct MergeOptions {
   bool dry_run = false;
 };
 
-/// Outcome of unioning one source store into a destination store.
+/// Outcome of unioning one source store into a destination store. Dry runs
+/// count what a real merge would copy or repair.
 struct MergeResult {
   std::uint64_t scanned = 0;    // .run records seen in the source
   std::uint64_t copied = 0;     // new records written to the destination
+  std::uint64_t repaired = 0;   // invalid destination records replaced
   std::uint64_t identical = 0;  // already present, byte-identical: skipped
-  std::uint64_t conflicts = 0;  // present with different bytes: kept dest
+  std::uint64_t conflicts = 0;  // valid but different bytes: kept dest
   std::uint64_t invalid = 0;    // failed key/checksum validation: skipped
+  std::uint64_t failed = 0;     // directory or record writes that failed
 };
 
-/// Unions `from` into `into` (the scatter-gather merge for workers that
-/// filled private cache dirs): every valid source record absent from the
-/// destination is copied atomically; records already present are compared
-/// byte-for-byte and skipped, with byte-level disagreement counted as a
-/// conflict (the destination record wins — records are content-keyed, so a
-/// conflict means corruption or a stale format, never two valid answers).
-/// Source records whose embedded key or checksum fails validation are
-/// skipped as invalid rather than propagated.
+/// Unions `from` into `into` (the gather step of a sharded sweep: each
+/// shard filled its own cache dir). Every valid source record absent from
+/// the destination is copied atomically. A destination record that fails
+/// validation (torn write, bit rot, stale format) is replaced by the valid
+/// source record. A valid destination record is compared byte-for-byte:
+/// equal bytes are skipped, different bytes count as a conflict and the
+/// destination wins — records are content-keyed, so a conflict means a
+/// format or model drift, never two valid answers. Source records whose
+/// name, embedded key or checksum fails validation are skipped as invalid.
+/// A write that fails is counted in `failed` and the merge goes on.
 [[nodiscard]] MergeResult merge_run_store(const std::string& into,
                                           const std::string& from,
                                           const MergeOptions& options = {});

@@ -1,387 +1,127 @@
 #include "harness/shard.h"
 
-#include <signal.h>
-#include <spawn.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
+#include <future>
 #include <map>
 #include <stdexcept>
-#include <thread>
-#include <vector>
+#include <string>
 
-#include "common/backoff.h"
-#include "common/faultpoint.h"
+#include "common/cli.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "harness/run_cache.h"
 #include "harness/run_key.h"
-#include "harness/spool.h"
 #include "harness/sweep.h"
-
-extern char** environ;
 
 namespace clusmt::harness {
 
 namespace {
 
-namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
-
-std::string resolve_worker_bin(const std::string& explicit_bin) {
-  if (!explicit_bin.empty()) return explicit_bin;
-  if (const char* env = std::getenv("CLUSMT_WORKER_BIN")) {
-    if (*env != '\0') return env;
-  }
-  std::error_code ec;
-  const fs::path self = fs::read_symlink("/proc/self/exe", ec);
-  if (!ec) {
-    const fs::path dir = self.parent_path();
-    for (const fs::path& candidate :
-         {dir / "sweep_worker", dir / ".." / "tools" / "sweep_worker"}) {
-      std::error_code exists_ec;
-      if (fs::exists(candidate, exists_ec) && !exists_ec) {
-        return candidate.lexically_normal().string();
-      }
-    }
-  }
-  throw std::runtime_error(
-      "sharded sweep: cannot locate the sweep_worker binary — build the "
-      "`sweep_worker` target, or point --worker-bin / $CLUSMT_WORKER_BIN "
-      "at it");
-}
-
-pid_t spawn_worker(const std::string& bin,
-                   const std::vector<std::string>& args) {
-  // Fault point `shard.spawn`: error → posix_spawn fails (pid/memory
-  // limits), exercising the respawn-backoff and degrade-local paths.
-  if (faultpoint::inject_error("shard.spawn")) return -1;
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 2);
-  argv.push_back(const_cast<char*>(bin.c_str()));
-  for (const std::string& a : args) {
-    argv.push_back(const_cast<char*>(a.c_str()));
-  }
-  argv.push_back(nullptr);
-  pid_t pid = -1;
-  if (posix_spawn(&pid, bin.c_str(), nullptr, nullptr, argv.data(),
-                  environ) != 0) {
-    return -1;
-  }
-  return pid;
-}
-
-/// Reaps exited workers out of `pids` (non-blocking).
-void reap_exited(std::vector<pid_t>& pids) {
-  for (auto it = pids.begin(); it != pids.end();) {
-    int status = 0;
-    if (waitpid(*it, &status, WNOHANG) == *it) {
-      it = pids.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-/// SIGTERM, short grace, SIGKILL; every pid is reaped before returning.
-void terminate_workers(std::vector<pid_t>& pids) {
-  for (pid_t pid : pids) kill(pid, SIGTERM);
-  const auto deadline = Clock::now() + std::chrono::seconds(2);
-  while (!pids.empty() && Clock::now() < deadline) {
-    reap_exited(pids);
-    if (pids.empty()) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  for (pid_t pid : pids) kill(pid, SIGKILL);
-  for (pid_t pid : pids) waitpid(pid, nullptr, 0);
-  pids.clear();
-}
-
-std::string first_line(const std::string& text) {
-  const std::size_t nl = text.find('\n');
-  return nl == std::string::npos ? text : text.substr(0, nl);
+/// Parses a whole decimal token into `out`; false on anything else.
+bool parse_int(std::string_view text, int& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
 
-ShardStats shard_prefetch(const SweepSpec& spec,
-                          const std::vector<ConfigPoint>& points) {
-  ShardStats stats;
-  RunCache& cache = spec.cache != nullptr ? *spec.cache : RunCache::instance();
-  const std::string store_dir = cache.store_dir();
-  if (store_dir.empty()) {
-    throw std::runtime_error(
-        "--shard-workers requires a --cache-dir / $CLUSMT_CACHE_DIR run "
-        "store: workers hand results back through it");
+ShardSpec shard_flag(const CliArgs& args, const std::string& cache_dir) {
+  if (!args.has("shard")) return {};
+  const std::string text = args.get_string("shard", "");
+  const std::size_t slash = text.find('/');
+  ShardSpec shard;
+  if (slash == std::string::npos ||
+      !parse_int(std::string_view(text).substr(0, slash), shard.index) ||
+      !parse_int(std::string_view(text).substr(slash + 1), shard.count) ||
+      shard.index < 0 || shard.index >= shard.count) {
+    std::fprintf(stderr,
+                 "error: --shard expects I/N with 0 <= I < N, got '%s'\n",
+                 text.c_str());
+    std::exit(2);
   }
-  const RunStore store(store_dir);
+  if (cache_dir.empty()) {
+    std::fprintf(stderr,
+                 "error: --shard needs --cache-dir (or $CLUSMT_CACHE_DIR): "
+                 "the shard's cells go into that run store\n");
+    std::exit(2);
+  }
+  return shard;
+}
 
-  // Enumerate every cell the sweep will request — grid cells plus, for
-  // fairness sweeps, the content-deduplicated single-thread baselines —
-  // exactly mirroring run_sweep's own requests so the assembly pass below
-  // never simulates inline.
-  struct Pending {
-    SpoolCell cell;
-    std::string label;
+bool shard_owns(const ShardSpec& shard, const RunKey& key) {
+  // Re-mixed first: the low bits of an FNV-1a digest depend only on the low
+  // bits of the hashed bytes, so `(hi ^ lo) % 2` is the same for every key.
+  if (shard.count <= 0) return true;
+  const auto count = static_cast<std::uint64_t>(shard.count);
+  return hash_combine(key.hi, key.lo) % count ==
+         static_cast<std::uint64_t>(shard.index);
+}
+
+ShardStats fill_shard(const SweepSpec& spec,
+                      const std::vector<ConfigPoint>& points) {
+  RunCache& cache = spec.cache != nullptr ? *spec.cache : RunCache::instance();
+  if (cache.store_dir().empty()) {
+    throw std::runtime_error(
+        "--shard requires a --cache-dir / $CLUSMT_CACHE_DIR run store: the "
+        "shards hand their cells to the final run through it");
+  }
+
+  // Every cell run_sweep would request, keyed as it keys them: grid cells
+  // plus, for fairness sweeps, the single-thread baselines (run_key of
+  // baseline_config × baseline_workload is baseline_key by construction).
+  struct Cell {
+    core::SimConfig config;
+    trace::WorkloadSpec workload;
   };
-  std::map<RunKey, Pending> needed;
+  std::map<RunKey, Cell> cells;
   for (const ConfigPoint& point : points) {
     for (const trace::WorkloadSpec& workload : spec.suite) {
-      const RunKey key =
-          run_key(point.config, workload, spec.cycles, spec.warmup);
-      needed.try_emplace(
-          key, Pending{{key, point.config, workload, spec.cycles, spec.warmup},
-                       point.label + " / " + workload.name});
-      if (spec.with_fairness) {
-        for (const trace::TraceSpec& t : workload.threads) {
-          const RunKey bkey =
-              baseline_key(point.config, t, spec.cycles, spec.warmup);
-          needed.try_emplace(
-              bkey,
-              Pending{{bkey, baseline_config(point.config),
-                       baseline_workload(t), spec.cycles, spec.warmup},
-                      "baseline " + t.id()});
-        }
+      cells.try_emplace(
+          run_key(point.config, workload, spec.cycles, spec.warmup),
+          Cell{point.config, workload});
+      if (!spec.with_fairness) continue;
+      for (const trace::TraceSpec& t : workload.threads) {
+        cells.try_emplace(baseline_key(point.config, t, spec.cycles,
+                                       spec.warmup),
+                          Cell{baseline_config(point.config),
+                               baseline_workload(t)});
       }
     }
   }
-  stats.cells = needed.size();
 
-  std::map<RunKey, Pending> outstanding;
-  for (auto& [key, pending] : needed) {
-    std::error_code ec;
-    if (cache.contains(key) || fs::exists(store.path_of(key), ec)) {
-      ++stats.served_from_store;
-      continue;
+  ShardStats stats;
+  stats.cells = cells.size();
+  const std::uint64_t misses_before = cache.misses();
+  {
+    std::vector<std::future<RunResult>> futures;
+    // Declared after `cells` and `futures`: the pool joins every queued
+    // cell before the state its tasks reference goes away.
+    ThreadPool pool(spec.jobs);
+    for (const auto& [key, cell] : cells) {
+      if (!shard_owns(spec.shard, key)) continue;
+      ++stats.owned;
+      futures.push_back(pool.submit_task([&, key = key] {
+        return cache.get_or_run(key, [&] {
+          return simulate_workload(cell.config, cell.workload, spec.cycles,
+                                   spec.warmup);
+        });
+      }));
     }
-    outstanding.emplace(key, std::move(pending));
+    for (auto& f : futures) (void)f.get();
   }
-  if (outstanding.empty()) {
-    if (spec.progress) {
-      std::fprintf(stderr,
-                   "[shard] %zu cells: all served from store, 0 spooled\n",
-                   stats.cells);
-    }
-    return stats;
-  }
+  stats.simulated = cache.misses() - misses_before;
 
-  std::string spool_dir = spec.shard.spool_dir;
-  const bool temp_spool = spool_dir.empty();
-  if (temp_spool) {
-    std::error_code ec;
-    spool_dir = (fs::temp_directory_path(ec) /
-                 ("clusmt-spool-" + std::to_string(getpid())))
-                    .string();
-  }
-  const Spool spool(spool_dir, spec.shard.max_attempts);
-  if (!spool.init_dirs()) {
-    throw std::runtime_error("sharded sweep: cannot create spool directory " +
-                             spool_dir);
-  }
-  for (const auto& [key, pending] : outstanding) {
-    if (!spool.push(pending.cell)) {
-      throw std::runtime_error("sharded sweep: failed to spool a cell into " +
-                               spool_dir);
-    }
-  }
-  stats.spooled = outstanding.size();
-
-  std::vector<std::string> failures;
-
-  // Degrade-local fallback (ShardSpec::degrade_local): simulate a pending
-  // cell in-process through the sweep's own cache — same key, same store
-  // spill — so a dead swarm costs wall-clock, never the sweep or its
-  // bit-identical tables. A cell whose *simulation* throws still lands in
-  // `failures` (degrading does not launder genuinely poisoned cells).
-  auto simulate_locally = [&](const Pending& pending) {
-    const SpoolCell& c = pending.cell;
-    try {
-      (void)cache.get_or_run(c.key, [&] {
-        return simulate_workload(c.config, c.workload, c.cycles, c.warmup);
-      });
-      ++stats.simulated_locally;
-    } catch (const std::exception& e) {
-      failures.push_back(pending.label + ": " + e.what());
-    }
-  };
-  auto degrade_all = [&](const std::string& why) {
-    std::fprintf(stderr,
-                 "[shard] warning: %s; degrade-local is simulating the %zu "
-                 "remaining cell(s) in-process\n",
-                 why.c_str(), outstanding.size());
-    for (const auto& [key, pending] : outstanding) simulate_locally(pending);
-    outstanding.clear();
-  };
-
-  // Divide the host's cores among the local workers (each worker runs
-  // --jobs claimant threads); remote workers watching the same spool
-  // bring their own budget.
-  const int workers = spec.shard.workers;
-  std::string bin;
-  try {
-    bin = resolve_worker_bin(spec.shard.worker_bin);
-  } catch (const std::exception& e) {
-    if (!spec.shard.degrade_local) throw;
-    degrade_all(e.what());
-  }
-  std::size_t total_cores =
-      spec.jobs != 0 ? spec.jobs
-                     : std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t jobs_per_worker =
-      std::max<std::size_t>(1, total_cores / static_cast<std::size_t>(workers));
-
-  const int spawn_cap = workers * spool.max_attempts();
-  std::vector<pid_t> pids;
-  auto spawn_one = [&]() {
-    std::vector<std::string> args = {
-        "--spool-dir", spool_dir,
-        "--cache-dir", store_dir,
-        "--jobs", std::to_string(jobs_per_worker),
-        "--lease-ms", std::to_string(spec.shard.lease_ms),
-        "--max-attempts", std::to_string(spec.shard.max_attempts),
-        "--idle-timeout-ms", std::to_string(spec.shard.idle_timeout_ms),
-        "--worker-id",
-        "w" + std::to_string(stats.workers_spawned) + "-" +
-            std::to_string(getpid()),
-    };
-    const pid_t pid = spawn_worker(bin, args);
-    if (pid > 0) {
-      pids.push_back(pid);
-      ++stats.workers_spawned;
-    }
-  };
-  for (int i = 0; i < workers && !outstanding.empty(); ++i) spawn_one();
-  if (pids.empty() && !outstanding.empty()) {
-    if (!spec.shard.degrade_local) {
-      throw std::runtime_error("sharded sweep: failed to spawn any worker (" +
-                               bin + ")");
-    }
-    degrade_all("failed to spawn any worker (" + bin + ")");
-  }
-  if (spec.progress && !pids.empty()) {
-    std::fprintf(stderr,
-                 "[shard] %zu cells: %zu served from store, %zu spooled to "
-                 "%s; %d workers x %zu jobs\n",
-                 stats.cells, stats.served_from_store, stats.spooled,
-                 spool_dir.c_str(), workers, jobs_per_worker);
-  }
-
-  const auto lease = std::chrono::milliseconds(
-      spec.shard.lease_ms < 1 ? 1 : spec.shard.lease_ms);
-  // Respawn pacing: an immediate-respawn loop against a swarm that dies
-  // instantly (bad binary, pid limit, injected spawn faults) is a fork
-  // storm. Exponential backoff with jitter spaces the rounds out; a round
-  // whose workers made progress resets the ramp.
-  Backoff respawn_backoff(
-      Backoff::Options{std::chrono::milliseconds(50),
-                       std::chrono::milliseconds(2000), 2.0, 0.5},
-      static_cast<std::uint64_t>(getpid()));
-  std::size_t progress_at_last_respawn = 0;
-  auto last_reclaim = Clock::now();
-  auto last_progress = Clock::now();
-  try {
-  while (!outstanding.empty()) {
-    for (auto it = outstanding.begin(); it != outstanding.end();) {
-      std::error_code ec;
-      if (fs::exists(store.path_of(it->first), ec)) {
-        ++stats.simulated_by_workers;
-        it = outstanding.erase(it);
-      } else if (spool.terminally_failed(it->first)) {
-        // Terminal in the spool — but a stolen-then-finished straggler may
-        // still have delivered; the store is the source of truth.
-        std::error_code again;
-        if (fs::exists(store.path_of(it->first), again)) {
-          ++stats.simulated_by_workers;
-        } else if (spec.shard.degrade_local) {
-          std::fprintf(stderr,
-                       "[shard] warning: cell '%s' exhausted its attempts "
-                       "(%s); degrade-local is simulating it in-process\n",
-                       it->second.label.c_str(),
-                       first_line(spool.failure_message(it->first)).c_str());
-          simulate_locally(it->second);
-        } else {
-          failures.push_back(
-              it->second.label + ": " +
-              first_line(spool.failure_message(it->first)));
-        }
-        it = outstanding.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (outstanding.empty()) break;
-
-    const auto now = Clock::now();
-    if (now - last_reclaim >= lease) {
-      (void)spool.reclaim_stale(lease);
-      last_reclaim = now;
-    }
-    if (spec.progress && now - last_progress >= std::chrono::seconds(5)) {
-      std::fprintf(stderr, "[shard] %zu/%zu spooled cells outstanding\n",
-                   outstanding.size(), stats.spooled);
-      last_progress = now;
-    }
-
-    reap_exited(pids);
-    if (pids.empty()) {
-      // Workers are gone with work left. Respawn while the attempt budget
-      // lasts: a crash-looping cell turns terminal through lease reclaim,
-      // so this loop is bounded either way. Rounds are spaced by the
-      // backoff ramp, reset whenever the previous generation delivered.
-      if (stats.simulated_by_workers > progress_at_last_respawn) {
-        respawn_backoff.reset();
-      }
-      progress_at_last_respawn = stats.simulated_by_workers;
-      if (stats.workers_spawned >= spawn_cap) {
-        const std::string why =
-            "workers keep exiting with " + std::to_string(outstanding.size()) +
-            " cells outstanding (spawned " +
-            std::to_string(stats.workers_spawned) + "; see " + spool_dir +
-            "/failed)";
-        if (spec.shard.degrade_local) {
-          degrade_all(why);
-          break;
-        }
-        throw std::runtime_error("sharded sweep: " + why);
-      }
-      std::this_thread::sleep_for(respawn_backoff.next());
-      for (int i = 0; i < workers && stats.workers_spawned < spawn_cap; ++i) {
-        spawn_one();
-      }
-      if (pids.empty()) {
-        if (spec.shard.degrade_local) {
-          degrade_all("failed to respawn workers (" + bin + ")");
-          break;
-        }
-        throw std::runtime_error("sharded sweep: failed to respawn workers (" +
-                                 bin + ")");
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  } catch (...) {
-    terminate_workers(pids);  // never leak a swarm past an error
-    throw;
-  }
-
-  terminate_workers(pids);
-  if (!failures.empty()) {
-    std::string message = "sharded sweep: " + std::to_string(failures.size()) +
-                          " cell(s) failed after " +
-                          std::to_string(spool.max_attempts()) + " attempts:";
-    for (const std::string& f : failures) message += "\n  " + f;
-    throw std::runtime_error(message);
-  }
   if (spec.progress) {
     std::fprintf(stderr,
-                 "[shard] %zu cells simulated by workers, %zu locally\n",
-                 stats.simulated_by_workers, stats.simulated_locally);
-  }
-  if (temp_spool) {
-    std::error_code ec;
-    fs::remove_all(spool_dir, ec);  // best-effort cleanup of the throwaway
+                 "[shard] %d/%d: owns %zu of %zu cells (%zu simulated, %zu "
+                 "already stored) in %s; no table: merge the shard stores, "
+                 "then rerun without --shard\n",
+                 spec.shard.index, spec.shard.count, stats.owned, stats.cells,
+                 stats.simulated, stats.owned - stats.simulated,
+                 cache.store_dir().c_str());
   }
   return stats;
 }

@@ -1,88 +1,62 @@
-// Sharded sweep execution: the coordinator side of the spool protocol
-// (harness/spool.h). Given an expanded sweep grid, shard_prefetch()
-// guarantees that every cell the sweep will request is present in the
-// attached --cache-dir RunStore: warm cells are served instantly, misses
-// are serialized into the spool and executed by sweep_worker processes —
-// spawned locally, or already running on other hosts that share the spool
-// directory. The sweep engine then assembles tables through the normal
-// warm-store path, so output is bit-identical for any worker count,
-// including 0 (pure in-process execution, the default).
+// Static sharding of a sweep across processes or hosts. A run with
+// `--shard I/N` owns every cell of the sweep — grid cells and the
+// content-deduplicated fairness baselines alike — whose RunKey, mixed to
+// 64 bits, is I mod N. It simulates those cells into its --cache-dir run
+// store and ends without a table, since it holds only part of the grid.
+// The tables come from one plain run over the union of the shard stores
+// (tools/store_merge, or a shared directory), which finds every cell on
+// disk.
 //
-// Straggler/failure handling: the coordinator re-queues cells whose lease
-// went stale (dead or stuck worker), respawns exited workers while work
-// remains (bounded by workers × max_attempts total spawns), and surfaces a
-// cell that failed max_attempts times as a per-cell error listing every
-// recorded message — never a hang.
+// The run store is the only protocol: records are content-keyed and
+// written atomically, so shards never coordinate and the final tables are
+// byte-identical to an in-process run.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
+namespace clusmt {
+class CliArgs;
+}
+
 namespace clusmt::harness {
 
 struct SweepSpec;
 struct ConfigPoint;
+struct RunKey;
 
-/// Distribution knobs of a sweep (SweepSpec::shard).
+/// The slice of a sweep this process simulates (SweepSpec::shard).
+/// count == 0 means unsharded: the whole grid runs in-process.
 struct ShardSpec {
-  /// Local sweep_worker processes to spawn. 0 = in-process execution; the
-  /// spool is not consulted at all and no other field matters.
-  int workers = 0;
-
-  /// Shared spool directory (the cluster rendezvous point). Empty = a
-  /// throwaway directory under $TMPDIR, removed after a successful sweep —
-  /// right for single-host fan-out; multi-host runs name a shared path.
-  std::string spool_dir;
-
-  /// sweep_worker binary. Empty = $CLUSMT_WORKER_BIN, then `sweep_worker`
-  /// next to the running binary, then `../tools/sweep_worker` (the build
-  /// tree layout relative to build/bench and build/tests).
-  std::string worker_bin;
-
-  /// Executions per cell (worker exceptions + lease reclaims) before the
-  /// cell turns into a terminal per-cell error.
-  int max_attempts = 3;
-
-  /// Lease heartbeat horizon: a claim untouched for this long is treated
-  /// as abandoned and re-queued (straggler stealing).
-  int lease_ms = 15000;
-
-  /// Workers exit after this long without claiming anything (they also
-  /// exit as soon as the spool drains).
-  int idle_timeout_ms = 10000;
-
-  /// Degrade instead of abort when the swarm cannot make progress: if the
-  /// worker binary is missing, no worker can be spawned, the respawn
-  /// budget runs out, or a cell turns terminal without a stored result,
-  /// the remaining cells are simulated in-process (through the same cache,
-  /// so tables stay bit-identical) with a surfaced warning, rather than
-  /// throwing. Off by default: CI wants a dead swarm to be loud.
-  bool degrade_local = false;
+  int index = 0;
+  int count = 0;
 };
 
-/// Cell traffic of one sharded prefetch, for progress/CI reporting.
+/// Parses `--shard I/N` (0 <= I < N); {0, 0} when the flag is absent. A
+/// malformed value, or a shard with an empty `cache_dir` (the run store
+/// the shard fills), prints a usage error and exits(2), like CliArgs'
+/// numeric getters.
+[[nodiscard]] ShardSpec shard_flag(const CliArgs& args,
+                                   const std::string& cache_dir);
+
+/// True when `shard` owns the cell keyed `key` (always, when unsharded).
+[[nodiscard]] bool shard_owns(const ShardSpec& shard, const RunKey& key);
+
+/// Cell traffic of one shard run.
 struct ShardStats {
-  std::size_t cells = 0;             // cells the sweep needs (incl. baselines)
-  std::size_t served_from_store = 0; // already warm in memory or on disk
-  std::size_t spooled = 0;           // misses handed to the worker swarm
-  std::size_t simulated_by_workers = 0;
-  std::size_t simulated_locally = 0; // degrade-local fallback executions
-  int workers_spawned = 0;           // includes straggler respawns
+  std::size_t cells = 0;      // distinct cells of the sweep (incl. baselines)
+  std::size_t owned = 0;      // cells this shard owns
+  std::size_t simulated = 0;  // owned cells simulated by this run; the
+                              // rest were already in memory or the store
 };
 
-/// Ensures every cell of (points × suite [+ fairness baselines]) is in the
-/// RunStore attached to the sweep's cache, farming misses through the
-/// spool to `spec.shard.workers` local worker processes (plus any remote
-/// workers already watching the same spool). Throws std::runtime_error
-/// when no store is attached, the worker binary cannot be found or
-/// spawned, workers keep dying, or any cell exhausts its attempts — the
-/// last with a per-cell list of the recorded failure messages. With
-/// ShardSpec::degrade_local, every swarm-level failure after the
-/// no-store check instead falls back to in-process simulation of the
-/// affected cells (warning on stderr, counted in
-/// ShardStats::simulated_locally).
-ShardStats shard_prefetch(const SweepSpec& spec,
-                          const std::vector<ConfigPoint>& points);
+/// Runs every cell of (points × spec.suite [+ fairness baselines]) that
+/// spec.shard owns through the sweep's RunCache, which spills each one to
+/// its store, and prints one `[shard] I/N: …` line when spec.progress.
+/// Throws std::runtime_error when the cache has no store attached, and
+/// rethrows the first failing cell after all owned cells drain.
+ShardStats fill_shard(const SweepSpec& spec,
+                      const std::vector<ConfigPoint>& points);
 
 }  // namespace clusmt::harness

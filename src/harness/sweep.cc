@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <stdexcept>
 
@@ -99,11 +100,12 @@ SweepResult run_sweep(const SweepSpec& spec) {
   out.cycles = spec.cycles;
   out.warmup = spec.warmup;
 
-  // Distributed mode: fill the store with every miss first (worker swarm),
-  // so the in-process pass below runs entirely warm. Same requests, same
-  // assembly, same bytes — only who simulated differs.
-  if (spec.shard.workers > 0) {
-    (void)shard_prefetch(spec, out.points);
+  // A shard run holds only part of the grid: it fills its slice of the run
+  // store and ends the process, leaving the tables to a run over the
+  // merged stores.
+  if (spec.shard.count > 0) {
+    (void)fill_shard(spec, out.points);
+    std::exit(0);
   }
 
   RunCache& cache = spec.cache != nullptr ? *spec.cache : RunCache::instance();

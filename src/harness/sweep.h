@@ -88,14 +88,12 @@ struct SweepSpec {
   /// cache) and fill RunResult::fairness for every cell.
   bool with_fairness = false;
 
-  /// Host worker threads; 0 = all cores (or $CLUSMT_JOBS when set — the
-  /// coordinator exports it so spawned workers never oversubscribe).
+  /// Host worker threads; 0 = all cores.
   std::size_t jobs = 0;
 
-  /// Distributed execution (harness/shard.h): with shard.workers > 0 the
-  /// cache-miss cells are farmed to sweep_worker processes through a spool
-  /// directory before the (then fully warm) in-process assembly below —
-  /// tables are bit-identical for any worker count.
+  /// Static sharding (harness/shard.h): with shard.count > 0, run_sweep
+  /// simulates only this shard's cells into the run store and ends the
+  /// process without a table.
   ShardSpec shard;
 
   /// Print per-point completion and a cache summary to stderr.
@@ -156,7 +154,8 @@ struct SweepResult {
 };
 
 /// Runs the whole grid as one flat cell queue. Exceptions from any cell
-/// (e.g. thread-count mismatch) propagate after all cells drain.
+/// (e.g. thread-count mismatch) propagate after all cells drain. A shard
+/// run (spec.shard.count > 0) instead calls fill_shard and exits(0).
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec);
 
 // ---- Result shaping ------------------------------------------------------

@@ -1,30 +1,23 @@
-// Chaos-hardening of the distributed sweep/store/spool stack
-// (common/faultpoint.h): multi-worker sharded sweeps run under randomized
-// fault schedules — worker crashes after claim and before ack, injected
-// simulation failures, torn store writes, read errors, spawn failures —
-// and the resulting tables must be BYTE-identical to a fault-free run,
-// with the shared store exactly-once-effective (one valid record per cell,
-// byte-identical to the fault-free record). Also covers the full-disk
-// degradation of the run store to a memory-only tier, and the
-// --degrade-local rescue of a swarm that cannot spawn.
-//
-// Worker-side faults are armed through $CLUSMT_FAULTS (inherited by the
-// spawned sweep_worker processes); coordinator-side faults are armed
-// programmatically — crash-mode points only ever fire in workers because
-// the coordinator never claims or acks.
+// Chaos-hardening of the run store under a sharded sweep
+// (common/faultpoint.h): static shards fill their stores under randomized
+// torn-write and read-error schedules, the stores are merged (still under
+// faults), and a warm run over the merged store must emit tables
+// BYTE-identical to a fault-free run and leave exactly the fault-free
+// records behind (one valid record per cell, byte for byte). Also covers
+// the full-disk degradation of the run store to a memory-only tier.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/faultpoint.h"
 #include "harness/presets.h"
 #include "harness/run_cache.h"
+#include "harness/run_store.h"
 #include "harness/shard.h"
 #include "harness/sweep.h"
 #include "trace/workload.h"
@@ -69,7 +62,7 @@ class ChaosTest : public ::testing::Test {
 };
 
 /// Same small grid as shard_test: 2 schemes x 3 workloads with fairness
-/// baselines — grid cells, dedup, and baseline spooling, kept quick.
+/// baselines — grid cells, dedup, and shared baselines, kept quick.
 SweepSpec small_spec() {
   SweepSpec spec;
   spec.suite = trace::build_quick_suite(1, 1, 2);
@@ -111,9 +104,9 @@ std::string render_json(const SweepResult& result) {
   return category_table(result.suite, series, 6).to_json();
 }
 
-/// Every .run record under `dir`, keyed by store-relative path. Orphan
-/// temp files from injected crashes are deliberately not collected: they
-/// are invisible to readers, which is the point of atomic writes.
+/// Every .run record under `dir`, keyed by store-relative path. Temp files
+/// are deliberately not collected: they are invisible to readers, which is
+/// the point of atomic writes.
 std::map<std::string, std::string> store_records(const std::string& dir) {
   std::map<std::string, std::string> out;
   std::error_code ec;
@@ -133,9 +126,12 @@ std::map<std::string, std::string> store_records(const std::string& dir) {
   return out;
 }
 
-// The acceptance-criterion test: >= 2 workers, >= 6 distinct fault points
-// across worker and coordinator processes, randomized per-round schedules,
-// and byte-identical artifacts + store against a fault-free reference.
+// Two static shards and their merge run under torn writes (fsio.write
+// partial) and read errors (run_store.load error); the warm run keeps the
+// read errors. Torn source records are skipped by the merge, torn merged
+// records fail validation on load, and either way the warm run recomputes
+// the cell, so the tables and the final store must match the fault-free
+// reference exactly.
 TEST_F(ChaosTest, ShardedSweepUnderFaultScheduleMatchesFaultFreeRun) {
   // Fault-free reference: the table bytes and the exact store records.
   SweepSpec ref_spec = small_spec();
@@ -148,57 +144,50 @@ TEST_F(ChaosTest, ShardedSweepUnderFaultScheduleMatchesFaultFreeRun) {
   const auto ref_records = store_records(subdir("store-ref"));
   ASSERT_FALSE(ref_records.empty());
 
+  std::uint64_t torn_writes = 0;
+  std::uint64_t read_errors = 0;
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE("chaos round " + std::to_string(round));
     const std::string tag = std::to_string(round);
     const std::string seed = std::to_string(100 + round);
+    ASSERT_TRUE(faultpoint::arm_from_spec("fsio.write:partial:0.3:" + seed +
+                                          ";run_store.load:error:0.3:" +
+                                          seed));
 
-    // Worker-side schedule, inherited via the environment by every
-    // sweep_worker the coordinator spawns. Crash points land in the
-    // claim->ack window; the rest are error/torn-write/read faults whose
-    // worst case is a recompute.
-    const std::string worker_schedule =
-        "spool.claim:crash:0.04:" + seed +
-        ";spool.ack:crash:0.04:" + seed +
-        ";worker.sim:error:0.08:" + seed +
-        ";fsio.write:partial:0.05:" + seed +
-        ";run_store.load:error:0.1:" + seed;
-    ASSERT_EQ(::setenv("CLUSMT_FAULTS", worker_schedule.c_str(), 1), 0);
-    // The coordinator process must not run the worker schedule: clear
-    // everything (this also forces the env parse, making the clear stick
-    // for this process) and arm coordinator-side faults explicitly.
-    faultpoint::disarm_all();
-    faultpoint::arm("shard.spawn",
-                    {faultpoint::Mode::kError, 1.0,
-                     static_cast<std::uint64_t>(round), /*max_fires=*/1, 20});
-    faultpoint::arm("run_store.load", faultpoint::Mode::kError, 0.15,
-                    static_cast<std::uint64_t>(round));
+    const std::string merged = subdir("merged-" + tag);
+    for (int index = 0; index < 2; ++index) {
+      RunCache cache;
+      const std::string store =
+          subdir("shard-" + tag + "-" + std::to_string(index));
+      cache.set_store_dir(store);
+      SweepSpec spec = small_spec();
+      spec.cache = &cache;
+      spec.shard = {index, 2};
+      (void)fill_shard(spec, spec.expand_points());
+      const MergeResult r = merge_run_store(merged, store);
+      EXPECT_EQ(r.conflicts + r.failed, 0u);
+    }
 
+    // The warm run writes fault-free (a torn write there would leave a
+    // torn record behind) but still reads through injected errors.
+    torn_writes += faultpoint::fires("fsio.write");
+    ASSERT_TRUE(faultpoint::disarm("fsio.write"));
     RunCache cache;
-    cache.set_store_dir(subdir("store-" + tag));
+    cache.set_store_dir(merged);
     SweepSpec spec = small_spec();
     spec.cache = &cache;
-    spec.shard.workers = 2;
-    spec.shard.spool_dir = subdir("spool-" + tag);
-    spec.shard.max_attempts = 8;
-    spec.shard.lease_ms = 600;
-    spec.shard.idle_timeout_ms = 4000;
-    spec.shard.degrade_local = true;  // liveness backstop: never hang CI
     const SweepResult result = run_sweep(spec);
-
-    // The armed spawn fault deterministically ate the first spawn attempt.
-    EXPECT_EQ(faultpoint::fires("shard.spawn"), 1u);
+    read_errors += faultpoint::fires("run_store.load");
     faultpoint::disarm_all();
-    ::unsetenv("CLUSMT_FAULTS");
 
     // Tables byte-identical to the fault-free run.
     EXPECT_EQ(render_csv(result), ref_csv);
     EXPECT_EQ(render_json(result), ref_json);
 
-    // Store exactly-once-effective: exactly one record per cell, each
-    // byte-identical to the fault-free record (duplicate executions and
-    // torn writes must never leave a second or different version).
-    const auto records = store_records(subdir("store-" + tag));
+    // The merged store holds exactly the fault-free records: one per cell,
+    // byte for byte (torn and duplicate writes never leave a second or
+    // different version).
+    const auto records = store_records(merged);
     EXPECT_EQ(records.size(), ref_records.size());
     for (const auto& [rel, bytes] : ref_records) {
       const auto it = records.find(rel);
@@ -206,6 +195,8 @@ TEST_F(ChaosTest, ShardedSweepUnderFaultScheduleMatchesFaultFreeRun) {
       EXPECT_EQ(it->second, bytes) << "record bytes differ: " << rel;
     }
   }
+  EXPECT_GT(torn_writes, 0u) << "the schedule must actually tear writes";
+  EXPECT_GT(read_errors, 0u) << "the schedule must actually fail reads";
 }
 
 TEST_F(ChaosTest, FullDiskStoreDegradesToMemoryOnlyWithWarning) {
@@ -239,46 +230,6 @@ TEST_F(ChaosTest, FullDiskStoreDegradesToMemoryOnlyWithWarning) {
   // Re-attaching a (healthy) store clears the degradation.
   cache.set_store_dir(subdir("store2"));
   EXPECT_FALSE(cache.store_write_degraded());
-}
-
-TEST_F(ChaosTest, SpawnFailuresDegradeToLocalWhenRequested) {
-  SweepSpec ref_spec = small_spec();
-  RunCache ref_cache;
-  ref_spec.cache = &ref_cache;
-  const std::string ref_csv = render_csv(run_sweep(ref_spec));
-
-  // Default (degrade_local off): an unspawnable worker binary aborts.
-  {
-    RunCache cache;
-    cache.set_store_dir(subdir("store-abort"));
-    SweepSpec spec = small_spec();
-    spec.cache = &cache;
-    spec.shard.workers = 2;
-    spec.shard.spool_dir = subdir("spool-abort");
-    spec.shard.worker_bin = subdir("no-such-binary");
-    EXPECT_THROW((void)run_sweep(spec), std::runtime_error);
-  }
-
-  // degrade_local: the same dead swarm falls back to in-process
-  // simulation and the sweep completes bit-identically.
-  {
-    RunCache cache;
-    cache.set_store_dir(subdir("store-degrade"));
-    SweepSpec spec = small_spec();
-    spec.cache = &cache;
-    spec.shard.workers = 2;
-    spec.shard.spool_dir = subdir("spool-degrade");
-    spec.shard.worker_bin = subdir("no-such-binary");
-    spec.shard.degrade_local = true;
-    const ShardStats stats = shard_prefetch(spec, spec.expand_points());
-    EXPECT_GT(stats.simulated_locally, 0u);
-    EXPECT_EQ(stats.simulated_locally, stats.spooled);
-    EXPECT_EQ(stats.workers_spawned, 0);
-
-    const SweepResult result = run_sweep(spec);  // fully warm now
-    EXPECT_EQ(result.cache_misses, 0u);
-    EXPECT_EQ(render_csv(result), ref_csv);
-  }
 }
 
 // CI smoke hook: when the job exports an ambient CLUSMT_FAULTS (the ASan

@@ -1,17 +1,12 @@
-// Fault-injection registry (common/faultpoint.h) and retry backoff
-// (common/backoff.h) units: arming/disarming, deterministic probabilistic
-// firing, max_fires retirement, CLUSMT_FAULTS-style schedule parsing
-// (including rejection of malformed entries), fire counters, and the
-// backoff ramp's bounds/reset behaviour. Crash and delay modes are
-// exercised end-to-end by tests/chaos_test.cc; here only their parsing is
-// covered (firing them would kill or stall the test binary).
+// Fault-injection registry (common/faultpoint.h) units: arming/disarming,
+// deterministic probabilistic firing, max_fires retirement,
+// CLUSMT_FAULTS-style schedule parsing (including rejection of malformed
+// entries), fire counters, and what a fired crash or delay point does (the
+// crash in a death-test child, so it cannot kill the test binary).
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <set>
 #include <string>
 
-#include "common/backoff.h"
 #include "common/faultpoint.h"
 
 namespace clusmt {
@@ -112,14 +107,15 @@ TEST_F(FaultPointTest, DisarmStopsFiring) {
 TEST_F(FaultPointTest, ArmFromSpecParsesFullSchedules) {
   ASSERT_TRUE(faultpoint::arm_from_spec(
       "run_store.load:error:0.5:7;fsio.write:partial, "
-      "spool.ack:error:1:0:3:5"));
+      "run_store.save:error:1:0:3:5"));
   EXPECT_EQ(faultpoint::armed_count(), 3u);
   EXPECT_EQ(faultpoint::maybe_fail("fsio.write"), faultpoint::Mode::kPartial);
-  // spool.ack carries max_fires=3.
+  // run_store.save carries max_fires=3.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(faultpoint::maybe_fail("spool.ack"), faultpoint::Mode::kError);
+    EXPECT_EQ(faultpoint::maybe_fail("run_store.save"),
+              faultpoint::Mode::kError);
   }
-  EXPECT_EQ(faultpoint::maybe_fail("spool.ack"), faultpoint::Mode::kOff);
+  EXPECT_EQ(faultpoint::maybe_fail("run_store.save"), faultpoint::Mode::kOff);
 }
 
 TEST_F(FaultPointTest, ArmFromSpecToleratesEmptyAndRejectsMalformed) {
@@ -153,55 +149,20 @@ TEST_F(FaultPointTest, ParseModeNamesEveryMode) {
   EXPECT_FALSE(faultpoint::parse_mode("", mode));
 }
 
-// ---- Backoff -------------------------------------------------------------
-
-TEST(BackoffTest, DelaysRampExponentiallyWithinBounds) {
-  BackoffOptions options;
-  options.initial = std::chrono::milliseconds(100);
-  options.max = std::chrono::milliseconds(1000);
-  options.multiplier = 2.0;
-  options.jitter = 0.25;
-  Backoff backoff(options, /*seed=*/7);
-  std::chrono::milliseconds previous{0};
-  for (int i = 0; i < 8; ++i) {
-    const auto delay = backoff.next();
-    EXPECT_GE(delay.count(), options.initial.count() / 2) << "retry " << i;
-    EXPECT_LE(delay.count(), options.max.count()) << "retry " << i;
-    previous = delay;
-  }
-  EXPECT_EQ(backoff.retries(), 8);
-  // Deep into the ramp the base has saturated at max: the jittered delay
-  // must stay within max*(1-jitter) .. max.
-  EXPECT_GE(previous.count(),
-            static_cast<std::int64_t>(1000 * (1.0 - options.jitter)) - 1);
+TEST_F(FaultPointTest, FiredDelayProceedsAndCounts) {
+  faultpoint::arm("test.delay", {faultpoint::Mode::kDelay, 1.0, 0, 0, 1});
+  EXPECT_EQ(faultpoint::maybe_fail("test.delay"), faultpoint::Mode::kOff)
+      << "a delay sleeps, then lets the call site proceed";
+  EXPECT_EQ(faultpoint::fires("test.delay"), 1u);
 }
 
-TEST(BackoffTest, JitterSpreadsDelays) {
-  BackoffOptions options;
-  options.initial = std::chrono::milliseconds(1000);
-  options.max = std::chrono::milliseconds(1000);
-  options.jitter = 0.5;
-  Backoff backoff(options, /*seed=*/3);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 16; ++i) seen.insert(backoff.next().count());
-  EXPECT_GT(seen.size(), 1u) << "jitter must not collapse to one value";
-}
-
-TEST(BackoffTest, ResetReturnsToInitialDelay) {
-  BackoffOptions options;
-  options.initial = std::chrono::milliseconds(50);
-  options.max = std::chrono::milliseconds(5000);
-  options.jitter = 0.0;  // deterministic delays for exact comparison
-  Backoff backoff(options, /*seed=*/1);
-  const auto first = backoff.next();
-  EXPECT_EQ(first.count(), 50);
-  (void)backoff.next();
-  (void)backoff.next();
-  EXPECT_EQ(backoff.retries(), 3);
-  backoff.reset();
-  EXPECT_EQ(backoff.retries(), 0);
-  EXPECT_EQ(backoff.next().count(), 50) << "reset restarts the ramp";
-  EXPECT_EQ(backoff.next().count(), 100);
+TEST_F(FaultPointTest, FiredCrashExitsWithTheCrashCode) {
+  EXPECT_EXIT(
+      {
+        faultpoint::arm("test.crash", faultpoint::Mode::kCrash);
+        (void)faultpoint::maybe_fail("test.crash");
+      },
+      ::testing::ExitedWithCode(faultpoint::kCrashExitCode), "");
 }
 
 }  // namespace

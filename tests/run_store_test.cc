@@ -1,7 +1,8 @@
 // Persistence tier of the run cache: record round-trips, cross-instance
 // ("cross-process") reuse through a shared directory, corruption and
-// version-bump fallback to recompute, concurrent writers, and the
-// sweep-level zero-simulation guarantee on a warm cache dir.
+// version-bump fallback to recompute, concurrent writers, the sweep-level
+// zero-simulation guarantee on a warm cache dir, GC, and the store merge
+// that joins the stores of a sharded sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -470,6 +471,133 @@ TEST_F(RunStoreTest, GcOnMissingDirIsEmpty) {
       gc_run_store(dir_ + "/does-not-exist", GcOptions{.max_bytes = 1});
   EXPECT_EQ(result.scanned_files, 0u);
   EXPECT_EQ(result.deleted_files, 0u);
+}
+
+// ---- merge_run_store -----------------------------------------------------
+
+/// Bytes of the record `key` under `store`, or "" when absent.
+std::string record_bytes(const RunStore& store, const RunKey& key) {
+  std::ifstream in(store.path_of(key), std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST_F(RunStoreTest, MergeUnionsDisjointStores) {
+  const RunStore a(dir_ + "/a");
+  const RunStore b(dir_ + "/b");
+  const RunStore into(dir_ + "/into");
+  ASSERT_TRUE(a.save(RunKey{1, 1}, sample_result(0.1)));
+  ASSERT_TRUE(a.save(RunKey{2, 2}, sample_result(0.2)));
+  ASSERT_TRUE(b.save(RunKey{3, 3}, sample_result(0.3)));
+
+  const MergeResult ra = merge_run_store(into.dir(), a.dir());
+  const MergeResult rb = merge_run_store(into.dir(), b.dir());
+  EXPECT_EQ(ra.scanned, 2u);
+  EXPECT_EQ(ra.copied, 2u);
+  EXPECT_EQ(rb.copied, 1u);
+  for (const MergeResult& r : {ra, rb}) {
+    EXPECT_EQ(r.identical + r.conflicts + r.invalid + r.repaired + r.failed,
+              0u);
+  }
+  EXPECT_EQ(record_bytes(into, RunKey{1, 1}), record_bytes(a, RunKey{1, 1}));
+  EXPECT_EQ(record_bytes(into, RunKey{2, 2}), record_bytes(a, RunKey{2, 2}));
+  EXPECT_EQ(record_bytes(into, RunKey{3, 3}), record_bytes(b, RunKey{3, 3}));
+}
+
+TEST_F(RunStoreTest, MergeSkipsIdenticalRecords) {
+  const RunStore from(dir_ + "/from");
+  const RunStore into(dir_ + "/into");
+  ASSERT_TRUE(from.save(RunKey{4, 4}, sample_result(0.0)));
+  ASSERT_TRUE(into.save(RunKey{4, 4}, sample_result(0.0)));
+
+  const MergeResult r = merge_run_store(into.dir(), from.dir());
+  EXPECT_EQ(r.scanned, 1u);
+  EXPECT_EQ(r.identical, 1u);
+  EXPECT_EQ(r.copied + r.conflicts + r.repaired + r.failed, 0u);
+}
+
+TEST_F(RunStoreTest, MergeConflictKeepsTheDestinationAndCountsIt) {
+  const RunStore from(dir_ + "/from");
+  const RunStore into(dir_ + "/into");
+  const RunKey key{5, 5};
+  ASSERT_TRUE(from.save(key, sample_result(1.0)));
+  ASSERT_TRUE(into.save(key, sample_result(2.0)));
+  const std::string kept = record_bytes(into, key);
+
+  const MergeResult r = merge_run_store(into.dir(), from.dir());
+  EXPECT_EQ(r.conflicts, 1u);
+  EXPECT_EQ(r.copied + r.identical + r.repaired + r.failed, 0u);
+  EXPECT_EQ(record_bytes(into, key), kept) << "the destination wins";
+}
+
+TEST_F(RunStoreTest, MergeSkipsInvalidSourceRecords) {
+  const RunStore from(dir_ + "/from");
+  const RunStore into(dir_ + "/into");
+  const RunKey torn{6, 6};
+  ASSERT_TRUE(from.save(torn, sample_result(0.0)));
+  fs::resize_file(from.path_of(torn), fs::file_size(from.path_of(torn)) / 2);
+  // A valid record filed under another key's name is invalid too.
+  const RunKey misfiled{7, 7};
+  fs::create_directories(fs::path(from.path_of(misfiled)).parent_path());
+  std::ofstream(from.path_of(misfiled), std::ios::binary)
+      << encode_run_record(RunKey{7, 8}, sample_result(0.0));
+
+  const MergeResult r = merge_run_store(into.dir(), from.dir());
+  EXPECT_EQ(r.scanned, 2u);
+  EXPECT_EQ(r.invalid, 2u);
+  EXPECT_EQ(r.copied, 0u);
+  EXPECT_FALSE(fs::exists(into.path_of(torn)));
+  EXPECT_FALSE(fs::exists(into.path_of(misfiled)));
+}
+
+TEST_F(RunStoreTest, MergeDryRunWritesNothing) {
+  const RunStore from(dir_ + "/from");
+  const RunStore into(dir_ + "/into");
+  ASSERT_TRUE(from.save(RunKey{8, 8}, sample_result(0.0)));
+  const RunKey torn{9, 9};
+  ASSERT_TRUE(from.save(torn, sample_result(0.0)));
+  ASSERT_TRUE(into.save(torn, sample_result(0.0)));
+  fs::resize_file(into.path_of(torn), 10);
+
+  const MergeResult r =
+      merge_run_store(into.dir(), from.dir(), MergeOptions{.dry_run = true});
+  EXPECT_EQ(r.copied, 1u) << "a dry run counts what it would copy";
+  EXPECT_EQ(r.repaired, 1u) << "and what it would repair";
+  EXPECT_FALSE(fs::exists(into.path_of(RunKey{8, 8})));
+  EXPECT_EQ(fs::file_size(into.path_of(torn)), 10u);
+}
+
+TEST_F(RunStoreTest, MergeRepairsACorruptDestinationRecord) {
+  const RunStore from(dir_ + "/from");
+  const RunStore into(dir_ + "/into");
+  const RunKey key{10, 10};
+  ASSERT_TRUE(from.save(key, sample_result(0.0)));
+  // A torn destination record: the same cell, cut short.
+  faultpoint::arm("fsio.write", faultpoint::Mode::kPartial);
+  ASSERT_TRUE(into.save(key, sample_result(0.0)));
+  faultpoint::disarm_all();
+  ASSERT_FALSE(into.load(key).has_value());
+
+  const MergeResult r = merge_run_store(into.dir(), from.dir());
+  EXPECT_EQ(r.repaired, 1u);
+  EXPECT_EQ(r.conflicts + r.copied + r.failed, 0u);
+  EXPECT_EQ(record_bytes(into, key), record_bytes(from, key));
+  EXPECT_TRUE(into.load(key).has_value());
+}
+
+TEST_F(RunStoreTest, MergeIntoAnUnwritableDestinationCountsFailures) {
+  const RunStore from(dir_ + "/from");
+  ASSERT_TRUE(from.save(RunKey{11, 11}, sample_result(0.0)));
+  ASSERT_TRUE(from.save(RunKey{12, 12}, sample_result(0.0)));
+  // A regular file where the destination directory should be: no write can
+  // land below it, whatever the process's privileges.
+  const std::string blocker = dir_ + "/blocker";
+  std::ofstream(blocker) << "not a directory";
+
+  const MergeResult r = merge_run_store(blocker + "/into", from.dir());
+  EXPECT_EQ(r.scanned, 2u);
+  EXPECT_EQ(r.failed, 2u);
+  EXPECT_EQ(r.copied, 0u);
 }
 
 }  // namespace

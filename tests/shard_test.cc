@@ -1,14 +1,9 @@
-// Sharded sweep execution (harness/shard.h): run_sweep with
-// --shard-workers N farms cache-miss cells to real sweep_worker processes
-// through a spool directory, then assembles tables from the warm store.
-// Covers bit-identical output across worker counts (including 0 =
-// in-process), the all-warm fast path that spawns nothing, the missing
-// cache-dir error, and a cell that always crashes turning into a clean
-// per-cell error instead of a hang.
-//
-// These tests spawn the real sweep_worker binary, resolved relative to
-// this test binary (build/tests/ -> build/tools/sweep_worker), exactly as
-// a bench run would resolve it.
+// Static sharding (harness/shard.h): `--shard I/N` runs each fill their
+// own run store with the cells they own; merged, the stores make a plain
+// run fully warm with tables byte-identical to an in-process run. Covers
+// N in {1, 2, 3} (every cell owned exactly once), the key partition itself,
+// the shard run's exit, and the two usage errors: no --cache-dir and a
+// malformed --shard value.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,9 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "harness/presets.h"
 #include "harness/run_cache.h"
-#include "harness/spool.h"
+#include "harness/run_key.h"
+#include "harness/run_store.h"
+#include "harness/shard.h"
 #include "harness/sweep.h"
 #include "trace/workload.h"
 
@@ -49,8 +47,8 @@ class ShardTest : public ::testing::Test {
 };
 
 /// The small two-point grid every test runs: 2 schemes x 3 workloads with
-/// fairness baselines, enough to exercise grid cells, dedup, and baseline
-/// spooling while staying quick.
+/// fairness baselines, enough to exercise grid cells, dedup, and baselines
+/// shared across points while staying quick.
 SweepSpec small_spec() {
   SweepSpec spec;
   spec.suite = trace::build_quick_suite(1, 1, 2);
@@ -72,8 +70,7 @@ SweepSpec small_spec() {
   return spec;
 }
 
-/// Renders the sweep the way benches do, so "bit-identical tables" is
-/// checked on the actual emitted artifact bytes.
+/// The emitted artifact bytes, as a bench would write them.
 std::string render_csv(const SweepResult& result) {
   std::vector<std::pair<std::string, std::vector<double>>> series;
   for (std::size_t p = 0; p < result.points.size(); ++p) {
@@ -85,128 +82,155 @@ std::string render_csv(const SweepResult& result) {
   return category_table(result.suite, series, 6).to_csv();
 }
 
-TEST_F(ShardTest, WorkerCountsZeroOneFourProduceIdenticalTables) {
-  std::vector<std::string> csv;
-  std::vector<std::string> json;
-  for (const int workers : {0, 1, 4}) {
-    // Fresh cache + fresh store dir per worker count: every variant starts
-    // cold and really takes its own execution path.
-    RunCache cache;
-    cache.set_store_dir(subdir("store-" + std::to_string(workers)));
-    SweepSpec spec = small_spec();
-    spec.cache = &cache;
-    spec.shard.workers = workers;
-    spec.shard.spool_dir = subdir("spool-" + std::to_string(workers));
-    const SweepResult result = run_sweep(spec);
-    if (workers > 0) {
-      EXPECT_EQ(result.cache_misses, 0u)
-          << workers << " workers: assembly must run fully warm";
-      EXPECT_GT(result.cache_disk_hits, 0u);
-    } else {
-      EXPECT_GT(result.cache_misses, 0u) << "in-process run must simulate";
-    }
-    std::vector<std::pair<std::string, std::vector<double>>> series;
-    for (std::size_t p = 0; p < result.points.size(); ++p) {
-      series.emplace_back(result.points[p].label, result.throughput(p));
-    }
-    csv.push_back(render_csv(result));
-    json.push_back(category_table(result.suite, series, 6).to_json());
+std::string render_json(const SweepResult& result) {
+  std::vector<std::pair<std::string, std::vector<double>>> series;
+  for (std::size_t p = 0; p < result.points.size(); ++p) {
+    series.emplace_back(result.points[p].label, result.throughput(p));
   }
-  EXPECT_EQ(csv[0], csv[1]) << "1 worker vs in-process";
-  EXPECT_EQ(csv[0], csv[2]) << "4 workers vs in-process";
-  EXPECT_EQ(json[0], json[1]);
-  EXPECT_EQ(json[0], json[2]);
+  return category_table(result.suite, series, 6).to_json();
 }
 
-TEST_F(ShardTest, WarmStoreSpawnsNoWorkersAndSpoolsNothing) {
-  RunCache cold;
-  cold.set_store_dir(subdir("store"));
+TEST_F(ShardTest, ShardsMergeIntoAWarmStoreWithIdenticalTables) {
+  RunCache ref_cache;
+  SweepSpec ref_spec = small_spec();
+  ref_spec.cache = &ref_cache;
+  const SweepResult reference = run_sweep(ref_spec);
+  ASSERT_GT(reference.cache_misses, 0u);
+
+  for (const int count : {1, 2, 3}) {
+    SCOPED_TRACE(std::to_string(count) + " shards");
+    const std::string tag = std::to_string(count);
+    const std::string merged = subdir("merged-" + tag);
+    std::size_t simulated = 0;
+    for (int index = 0; index < count; ++index) {
+      // Each shard is its own "host": a cold cache over its own store.
+      RunCache cache;
+      const std::string store =
+          subdir("shard-" + tag + "-" + std::to_string(index));
+      cache.set_store_dir(store);
+      SweepSpec spec = small_spec();
+      spec.cache = &cache;
+      spec.shard = {index, count};
+      const ShardStats stats = fill_shard(spec, spec.expand_points());
+      EXPECT_EQ(stats.cells, reference.cache_misses);
+      EXPECT_EQ(stats.simulated, stats.owned) << "cold shard " << index;
+      simulated += stats.simulated;
+
+      const MergeResult r = merge_run_store(merged, store);
+      EXPECT_EQ(r.copied, stats.owned) << "shard " << index;
+      EXPECT_EQ(r.identical + r.conflicts + r.invalid + r.failed, 0u);
+    }
+    EXPECT_EQ(simulated, reference.cache_misses)
+        << "every cell is owned by exactly one shard";
+
+    RunCache warm;
+    warm.set_store_dir(merged);
+    SweepSpec spec = small_spec();
+    spec.cache = &warm;
+    const SweepResult result = run_sweep(spec);
+    EXPECT_EQ(result.cache_misses, 0u) << "the merged store is complete";
+    EXPECT_EQ(result.cache_disk_hits, reference.cache_misses);
+    EXPECT_EQ(render_csv(result), render_csv(reference));
+    EXPECT_EQ(render_json(result), render_json(reference));
+  }
+}
+
+TEST(ShardOwns, RealRunKeysSplitIntoFairShares) {
+  // The keys of a real grid (quick suite x 3 schemes), not synthetic ones:
+  // run keys are FNV digests, whose low bits alone are not uniform.
+  std::vector<RunKey> keys;
+  core::SimConfig config = paper_baseline();
+  for (const policy::PolicyKind kind :
+       {policy::PolicyKind::kIcount, policy::PolicyKind::kCssp,
+        policy::PolicyKind::kCdprf}) {
+    config.policy = kind;
+    for (const trace::WorkloadSpec& w : trace::build_quick_suite(1)) {
+      keys.push_back(run_key(config, w, 20000, 5000));
+    }
+  }
+  for (int count = 1; count <= 5; ++count) {
+    std::vector<std::size_t> owned(count, 0);
+    for (const RunKey& key : keys) {
+      int owners = 0;
+      for (int index = 0; index < count; ++index) {
+        if (shard_owns({index, count}, key)) {
+          ++owners;
+          ++owned[index];
+        }
+      }
+      EXPECT_EQ(owners, 1) << "count " << count;
+    }
+    for (int index = 0; index < count; ++index) {
+      EXPECT_GE(owned[index] * 2 * count, keys.size())
+          << "shard " << index << "/" << count << " owns " << owned[index]
+          << " of " << keys.size() << " keys";
+    }
+  }
+  EXPECT_TRUE(shard_owns({}, RunKey{1, 2})) << "unsharded owns everything";
+}
+
+/// run_sweep as a `--shard 1/2` bench would call it; never returns.
+void run_shard_one_of_two(const std::string& store) {
+  RunCache cache;
+  cache.set_store_dir(store);
   SweepSpec spec = small_spec();
-  spec.cache = &cold;
-  (void)run_sweep(spec);  // in-process, fills the store
+  spec.cache = &cache;
+  spec.progress = true;
+  spec.shard = {1, 2};
+  (void)run_sweep(spec);
+  std::exit(3);  // not reached: run_sweep ends a shard run
+}
 
-  // Same spec, fresh cache over the warm store: the prefetch finds every
-  // cell on disk and the swarm machinery never engages.
-  RunCache warm;
-  warm.set_store_dir(subdir("store"));
-  spec.cache = &warm;
-  spec.shard.workers = 4;
-  spec.shard.spool_dir = subdir("spool");
-  const ShardStats stats = shard_prefetch(spec, spec.expand_points());
-  EXPECT_EQ(stats.served_from_store, stats.cells);
-  EXPECT_EQ(stats.spooled, 0u);
-  EXPECT_EQ(stats.workers_spawned, 0u);
-
-  const SweepResult result = run_sweep(spec);
-  EXPECT_EQ(result.cache_misses, 0u);
+TEST_F(ShardTest, ShardRunExitsZeroWithoutATable) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(run_shard_one_of_two(subdir("store")),
+              ::testing::ExitedWithCode(0),
+              "\\[shard\\] 1/2: owns [0-9]+ of");
 }
 
 TEST_F(ShardTest, ShardWithoutCacheDirIsAnActionableError) {
   RunCache cache;  // no store dir attached
   SweepSpec spec = small_spec();
   spec.cache = &cache;
-  spec.shard.workers = 2;
+  spec.shard = {0, 2};
   try {
     (void)run_sweep(spec);
     FAIL() << "expected a runtime_error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("--shard-workers requires"),
+    EXPECT_NE(std::string(e.what()).find("--shard requires a --cache-dir"),
               std::string::npos)
         << e.what();
   }
 }
 
-TEST_F(ShardTest, AlwaysCrashingCellExhaustsRetriesIntoPerCellError) {
-  // A 3-thread workload on a 2-thread machine: simulate_workload throws
-  // std::invalid_argument deterministically, in every worker, on every
-  // attempt. The sweep must fail with a clean per-cell error naming the
-  // cell — never hang, never leave the swarm running.
-  RunCache cache;
-  cache.set_store_dir(subdir("store"));
-  SweepSpec spec = small_spec();
-  spec.with_fairness = false;
-  spec.cache = &cache;
-  spec.shard.workers = 2;
-  spec.shard.spool_dir = subdir("spool");
-  spec.shard.max_attempts = 2;  // keep the retry churn short
+ShardSpec parse(const char* value, const std::string& cache_dir = "runs") {
+  const char* argv[] = {"bench", value};
+  return shard_flag(CliArgs(2, argv), cache_dir);
+}
 
-  trace::WorkloadSpec poison = spec.suite[0];
-  poison.name = "poison.3thread";
-  poison.threads.push_back(poison.threads[0]);
-  poison.threads.push_back(poison.threads[0]);
-  ASSERT_GT(poison.threads.size(),
-            static_cast<std::size_t>(spec.base.num_threads));
-  spec.suite = {spec.suite[1], poison};
+TEST(ShardFlag, ParsesIndexOverCount) {
+  const ShardSpec shard = parse("--shard=2/3");
+  EXPECT_EQ(shard.index, 2);
+  EXPECT_EQ(shard.count, 3);
+  const char* argv[] = {"bench"};
+  EXPECT_EQ(shard_flag(CliArgs(1, argv), "").count, 0)
+      << "absent: unsharded, with or without a cache dir";
+}
 
-  try {
-    (void)run_sweep(spec);
-    FAIL() << "expected the poisoned cell to surface as an error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("failed after"), std::string::npos) << what;
-    EXPECT_NE(what.find("poison.3thread"), std::string::npos) << what;
+TEST(ShardFlag, ShardWithoutCacheDirIsAUsageError) {
+  EXPECT_EXIT((void)parse("--shard=0/2", ""), ::testing::ExitedWithCode(2),
+              "--shard needs --cache-dir");
+}
+
+TEST(ShardFlag, MalformedValueIsAUsageError) {
+  for (const char* bad :
+       {"--shard=2/2", "--shard=0/0", "--shard=-1/2", "--shard=1",
+        "--shard=a/b", "--shard=1/2/3", "--shard=1/2x", "--shard= 1/2",
+        "--shard=", "--shard"}) {
+    EXPECT_EXIT((void)parse(bad), ::testing::ExitedWithCode(2),
+                "--shard expects I/N")
+        << bad;
   }
-
-  // The healthy cells completed and are reusable: dropping the poisoned
-  // workload, the same spec now runs entirely from the store.
-  spec.suite.pop_back();
-  spec.shard.spool_dir = subdir("spool2");
-  RunCache fresh;
-  fresh.set_store_dir(subdir("store"));
-  spec.cache = &fresh;
-  const SweepResult result = run_sweep(spec);
-  EXPECT_EQ(result.cache_misses, 0u)
-      << "healthy cells must have survived the failed sweep";
-
-  // And the spool preserved the diagnosis for post-mortem: one terminal
-  // cell per grid point (the poisoned workload keys differently under each
-  // scheme).
-  std::size_t terminal = 0;
-  for (const auto& entry :
-       fs::directory_iterator(fs::path(subdir("spool")) / "failed")) {
-    terminal += entry.path().extension() == ".cell" ? 1 : 0;
-  }
-  EXPECT_EQ(terminal, 2u);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "trace/synthetic.h"
 #include "trace/tape.h"
 #include "trace/workload.h"
+#include "stats_equal.h"
 
 namespace clusmt::trace {
 namespace {
@@ -208,28 +209,7 @@ TEST(TraceTapeDifferential, MaxUopsCapFreezesUnbudgetedTape) {
 namespace clusmt::harness {
 namespace {
 
-/// Field-by-field SimStats equality with a readable failure message.
-void expect_stats_equal(const core::SimStats& a, const core::SimStats& b,
-                        const std::string& label) {
-#define CLUSMT_EXPECT_FIELD(field) \
-  EXPECT_EQ(a.field, b.field) << label << ": SimStats::" #field " diverged"
-  CLUSMT_EXPECT_FIELD(cycles);
-  for (int t = 0; t < kMaxThreads; ++t) CLUSMT_EXPECT_FIELD(committed[t]);
-  CLUSMT_EXPECT_FIELD(committed_copies);
-  CLUSMT_EXPECT_FIELD(committed_branches);
-  CLUSMT_EXPECT_FIELD(committed_loads);
-  CLUSMT_EXPECT_FIELD(committed_stores);
-  CLUSMT_EXPECT_FIELD(renamed_uops);
-  CLUSMT_EXPECT_FIELD(copies_created);
-  CLUSMT_EXPECT_FIELD(squashed_uops);
-  CLUSMT_EXPECT_FIELD(branches_resolved);
-  CLUSMT_EXPECT_FIELD(mispredicts_resolved);
-  CLUSMT_EXPECT_FIELD(policy_flushes);
-  CLUSMT_EXPECT_FIELD(load_l2_misses);
-  CLUSMT_EXPECT_FIELD(store_l2_misses);
-  CLUSMT_EXPECT_FIELD(load_forwards);
-#undef CLUSMT_EXPECT_FIELD
-}
+using core::expect_stats_equal;
 
 core::SimStats run_cell(const core::SimConfig& config,
                         const trace::WorkloadSpec& workload) {

@@ -1,16 +1,18 @@
 // store_merge: unions run-store cache directories (harness/run_store.h).
-// The gather half of scatter-gather sweeps: workers that filled private
-// --cache-dir stores (separate hosts, separate CI shards) merge them into
-// one, and the next sweep runs warm against the union.
+// The gather step of a sharded sweep: each `--shard I/N` run fills its own
+// --cache-dir store (one per host, or per CI job); merging them yields one
+// store over which a plain bench run is fully warm and prints the tables.
 //
 // Usage:
 //   store_merge <into> <from>... [--dry-run]
 //
-// Every valid source record absent from <into> is copied atomically;
-// records already present are compared byte-for-byte and skipped. A byte
-// mismatch under the same key is a conflict — corruption or a stale
-// format, never two valid answers, since records are content-keyed — and
-// the destination record wins. Exit status 1 when any conflict was seen.
+// Every valid source record absent from <into> is copied atomically, and a
+// destination record that fails validation (torn write, bit rot) is
+// replaced. Records already present and valid are compared byte-for-byte
+// and skipped. A byte mismatch under the same key is a conflict — format
+// or model drift, never two valid answers, since records are content-keyed
+// — and the destination record wins. Exit status 1 when any conflict was
+// seen or any write failed (the merge is then incomplete).
 #include <cstdio>
 #include <string>
 
@@ -18,6 +20,25 @@
 #include "harness/run_store.h"
 
 using namespace clusmt;
+
+namespace {
+
+void print(const char* label, const harness::MergeResult& r, bool dry_run) {
+  std::printf(
+      "%s: %llu scanned, %llu %s, %llu %s, %llu identical, %llu conflicts, "
+      "%llu invalid, %llu failed%s\n",
+      label, static_cast<unsigned long long>(r.scanned),
+      static_cast<unsigned long long>(r.copied),
+      dry_run ? "would copy" : "copied",
+      static_cast<unsigned long long>(r.repaired),
+      dry_run ? "would repair" : "repaired",
+      static_cast<unsigned long long>(r.identical),
+      static_cast<unsigned long long>(r.conflicts),
+      static_cast<unsigned long long>(r.invalid),
+      static_cast<unsigned long long>(r.failed), dry_run ? " [dry run]" : "");
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
@@ -29,8 +50,8 @@ int main(int argc, char** argv) {
                  argv[0]);
     return 2;
   }
-  harness::MergeOptions options;
-  options.dry_run = args.get_bool("dry-run", false);
+  const harness::MergeOptions options{
+      .dry_run = args.get_bool("dry-run", false)};
 
   const std::string& into = args.positional()[0];
   harness::MergeResult total;
@@ -38,32 +59,15 @@ int main(int argc, char** argv) {
     const std::string& from = args.positional()[i];
     const harness::MergeResult r =
         harness::merge_run_store(into, from, options);
-    std::printf(
-        "%s -> %s: %llu scanned, %llu %s, %llu identical, %llu conflicts, "
-        "%llu invalid%s\n",
-        from.c_str(), into.c_str(), static_cast<unsigned long long>(r.scanned),
-        static_cast<unsigned long long>(r.copied),
-        options.dry_run ? "would copy" : "copied",
-        static_cast<unsigned long long>(r.identical),
-        static_cast<unsigned long long>(r.conflicts),
-        static_cast<unsigned long long>(r.invalid),
-        options.dry_run ? " [dry run]" : "");
+    print((from + " -> " + into).c_str(), r, options.dry_run);
     total.scanned += r.scanned;
     total.copied += r.copied;
+    total.repaired += r.repaired;
     total.identical += r.identical;
     total.conflicts += r.conflicts;
     total.invalid += r.invalid;
+    total.failed += r.failed;
   }
-  if (args.positional().size() > 2) {
-    std::printf(
-        "total: %llu scanned, %llu %s, %llu identical, %llu conflicts, "
-        "%llu invalid\n",
-        static_cast<unsigned long long>(total.scanned),
-        static_cast<unsigned long long>(total.copied),
-        options.dry_run ? "would copy" : "copied",
-        static_cast<unsigned long long>(total.identical),
-        static_cast<unsigned long long>(total.conflicts),
-        static_cast<unsigned long long>(total.invalid));
-  }
-  return total.conflicts > 0 ? 1 : 0;
+  if (args.positional().size() > 2) print("total", total, options.dry_run);
+  return total.conflicts > 0 || total.failed > 0 ? 1 : 0;
 }
